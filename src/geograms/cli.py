@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import encoding, metrics
-from .engine import PathRecord, RunMode, run
+from .engine import DEFAULT_MAX_STEPS, PathRecord, RunMode, run
 from .errors import GeogramsError
 from .grammar import (
     RWR_NS,
@@ -65,14 +65,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(raw: str) -> int:
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
 def _default_max_steps() -> int:
-    raw = os.environ.get(ENV_MAX_STEPS)
-    if raw is None:
-        return 1000
+    raw = os.environ.get(ENV_MAX_STEPS, str(DEFAULT_MAX_STEPS))
     try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"{ENV_MAX_STEPS} must be an integer, got {raw!r}") from None
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"{ENV_MAX_STEPS} {exc}") from None
 
 
 def _add_common(parser, with_grammar=True):
@@ -86,12 +90,15 @@ def _add_common(parser, with_grammar=True):
             "--grammar-format", choices=["dsl", "triples"], default=None,
             help="defaults by extension: .nt loads as triples, anything else as DSL",
         )
-    parser.add_argument("--max-steps", type=int, default=None, metavar="N")
+    parser.add_argument("--max-steps", type=_positive_int, default=None, metavar="N")
     parser.add_argument(
         "--subsumption", choices=["closure", "single-hop"], default="closure"
     )
     parser.add_argument("--output", choices=["json", "text"], default="text")
-    parser.add_argument("--threads", type=int, default=1, metavar="N")
+    parser.add_argument(
+        "--threads", type=_positive_int, default=1, metavar="N",
+        help="accepted for compatibility; runs are single-threaded",
+    )
 
 
 def build_parser() -> _Parser:
@@ -205,9 +212,7 @@ def _cmd_paths(args) -> int:
     grammar = _load_grammar(args.grammar, args.grammar_format)
     mode = RunMode.ALL_PATHS if args.mode == "all" else RunMode.SHORTEST_ONLY
     started = time.perf_counter()
-    records = run(
-        graph, grammar, mode, args.max_steps or _default_max_steps(), workers=args.threads
-    )
+    records = run(graph, grammar, mode, args.max_steps)
     elapsed_ms = int(round((time.perf_counter() - started) * 1000))
     ordered = sorted(records, key=PathRecord.key)
     rendered = [r.to_text(graph.compact) for r in ordered]
@@ -227,8 +232,21 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _metric_result_payload(result, graph: Graph, elapsed_ms: int) -> dict:
-    return {
+def _cmd_metric(args) -> int:
+    graph = _load_graph(args)
+    grammar = _load_grammar(args.grammar, args.grammar_format)
+    kind = metrics.MetricKind(args.metric)
+    if kind in metrics.VERTEX_KINDS and not args.vertex:
+        raise _UsageError(f"--metric {kind.value} requires --vertex")
+    vertex = _resolve_token(args.vertex, graph) if kind in metrics.VERTEX_KINDS else None
+    universe = () if kind is metrics.MetricKind.SHORTEST_PATH else _universe(args, graph, grammar)
+
+    started = time.perf_counter()
+    paths = metrics.WalkerPaths(graph, grammar, args.max_steps)
+    result = metrics.fold(kind, paths, universe, vertex)
+    elapsed_ms = int(round((time.perf_counter() - started) * 1000))
+
+    payload = {
         "kind": result.kind.value,
         "value": result.value,
         "defined": result.defined,
@@ -236,50 +254,6 @@ def _metric_result_payload(result, graph: Graph, elapsed_ms: int) -> dict:
         "skipped_targets": result.skipped_targets,
         "wall_time_ms": elapsed_ms,
     }
-
-
-def _cmd_metric(args) -> int:
-    graph = _load_graph(args)
-    grammar = _load_grammar(args.grammar, args.grammar_format)
-    kind = metrics.MetricKind(args.metric)
-    max_steps = args.max_steps or _default_max_steps()
-    workers = args.threads
-
-    vertex = _resolve_token(args.vertex, graph) if args.vertex else None
-    needs_vertex = kind in (
-        metrics.MetricKind.ECCENTRICITY,
-        metrics.MetricKind.CLOSENESS,
-        metrics.MetricKind.BETWEENNESS,
-    )
-    if needs_vertex and vertex is None:
-        raise _UsageError(f"--metric {kind.value} requires --vertex")
-
-    started = time.perf_counter()
-    if kind is metrics.MetricKind.SHORTEST_PATH:
-        result = metrics.shortest_path(graph, grammar, max_steps, workers)
-    elif kind is metrics.MetricKind.ECCENTRICITY:
-        result = metrics.eccentricity(
-            graph, grammar, vertex, _universe(args, graph, grammar), max_steps, workers
-        )
-    elif kind is metrics.MetricKind.CLOSENESS:
-        result = metrics.closeness(
-            graph, grammar, vertex, _universe(args, graph, grammar), max_steps, workers
-        )
-    elif kind is metrics.MetricKind.BETWEENNESS:
-        result = metrics.betweenness(
-            graph, grammar, vertex, _universe(args, graph, grammar), max_steps, workers
-        )
-    elif kind is metrics.MetricKind.RADIUS:
-        result = metrics.radius(
-            graph, grammar, _universe(args, graph, grammar), max_steps, workers
-        )
-    else:
-        result = metrics.diameter(
-            graph, grammar, _universe(args, graph, grammar), max_steps, workers
-        )
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000))
-
-    payload = _metric_result_payload(result, graph, elapsed_ms)
     lines = [f"{result.kind.value} = {result.value if result.defined else 'undefined'}"]
     lines += [f"witness: {text}" for text in payload["witness_paths"]]
     if result.skipped_targets:
@@ -292,7 +266,6 @@ def _cmd_encode(args) -> int:
     graph = _load_graph(args)
     grammar = _load_grammar(args.grammar, args.grammar_format)
     grammar_id = _resolve_token(args.grammar_id, graph)
-    max_steps = args.max_steps or _default_max_steps()
 
     records = []
     if args.all_pairs:
@@ -300,17 +273,10 @@ def _cmd_encode(args) -> int:
         for source in universe:
             for target in universe:
                 if source != target:
-                    records.extend(
-                        run(
-                            graph,
-                            rebind_endpoints(grammar, source, target),
-                            RunMode.ALL_PATHS,
-                            max_steps,
-                            workers=args.threads,
-                        )
-                    )
+                    bound = rebind_endpoints(grammar, source, target)
+                    records.extend(run(graph, bound, RunMode.ALL_PATHS, args.max_steps))
     else:
-        records.extend(run(graph, grammar, RunMode.ALL_PATHS, max_steps, workers=args.threads))
+        records.extend(run(graph, grammar, RunMode.ALL_PATHS, args.max_steps))
 
     unique = sorted(set(records), key=PathRecord.key)
     store = encoding.encode_paths(unique, grammar_id, list(range(len(unique))))
@@ -325,7 +291,6 @@ def _cmd_oracle_check(args) -> int:
     graph = _load_graph(args)
     projection = metrics.project_to_unlabeled(graph)
     universe = _universe(args, graph, None)
-    max_steps = args.max_steps or _default_max_steps()
 
     mismatches = []
     checked = 0
@@ -336,7 +301,7 @@ def _cmd_oracle_check(args) -> int:
             checked += 1
             expected = metrics.unlabeled_oracle_geodesics(graph, source, target)
             result = metrics.shortest_path(
-                projection, unconstrained_grammar(source, target), max_steps, args.threads
+                projection, unconstrained_grammar(source, target), args.max_steps
             )
             actual = result.value if result.defined else None
             if actual != expected:
@@ -385,6 +350,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "max_steps" in args and args.max_steps is None:
+            args.max_steps = _default_max_steps()
         return _COMMANDS[args.command](args)
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 from .engine import PathRecord, PathStep
 from .errors import IncompleteStoreError, ValidationError
 from .grammar import RWR_NS, Direction, membership_index
-from .metrics import MetricKind, MetricResult
+from .metrics import MetricKind, MetricResult, fold
 from .store import (
     RDF_NS,
     RDF_TYPE,
@@ -240,6 +240,38 @@ def query_Y(
 # -- metrics from the store ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StorePaths:
+    """Path provider answering from an encoded store by query alone."""
+
+    store: Graph
+    grammar_id: Resource
+    vocab: PathVocabulary = VOCAB
+
+    def _query_x(self, source: Resource, target: Resource) -> frozenset:
+        return query_X(self.store, source, target, self.grammar_id, self.vocab)
+
+    def witnesses(self, source=None, target=None) -> tuple:
+        """Decoded tied-shortest records from source to target in key order."""
+        if source is None or target is None:
+            raise ValueError("shortest-path needs source and target")
+        shortest = ms_shortest_paths(self._query_x(source, target))
+        decoded = (_decode_record(self.store, path, self.vocab) for path in shortest)
+        return tuple(sorted(decoded, key=PathRecord.key))
+
+    def distance(self, source: Resource, target: Resource) -> Optional[int]:
+        found = min_segments(self._query_x(source, target))
+        return None if found is None else found - 1
+
+    def through(self, source: Resource, target: Resource, vertex: Resource) -> Optional[tuple]:
+        """(tied-shortest paths through ``vertex``, all of them); None if none."""
+        shortest = ms_shortest_paths(self._query_x(source, target))
+        if not shortest:
+            return None
+        through = query_Y(self.store, source, target, vertex, self.grammar_id, self.vocab)
+        return len(through), len(shortest)
+
+
 def p_encoded_metric(
     kind: MetricKind,
     store: Graph,
@@ -251,83 +283,15 @@ def p_encoded_metric(
 ) -> MetricResult:
     """Compute a geodesic metric purely from the encoded store.
 
-    Mirrors the walker-backed metric definitions exactly: unreachable
-    targets are skipped and counted, aggregation order is fixed, so results
-    compare equal to the directly computed ones.
+    The store answers distances and tied-shortest counts (``StorePaths``),
+    and ``metrics.fold``, the same function behind the walker metrics,
+    aggregates them; so results compare equal to the directly computed
+    ones.  ``source`` is the measured vertex, and shortest path also needs
+    ``target``.
     """
     if not store.match((None, vocab.uses_grammar, grammar_id)):
         raise IncompleteStoreError(
             f"store holds no paths for grammar {grammar_id!r}",
             missing_pairs=[(source, target)] if source or target else [],
         )
-    universe = sorted(set(vertices), key=resource_key)
-
-    def distance(i: Resource, j: Resource) -> Optional[int]:
-        found = min_segments(query_X(store, i, j, grammar_id, vocab))
-        return None if found is None else found - 1
-
-    def ecc_value(i: Resource):
-        distances = [distance(i, j) for j in universe if j != i]
-        reached = [d for d in distances if d is not None]
-        return (max(reached) if reached else None), len(distances) - len(reached)
-
-    if kind is MetricKind.SHORTEST_PATH:
-        if source is None or target is None:
-            raise ValueError("shortest-path needs source and target")
-        pairs = query_X(store, source, target, grammar_id, vocab)
-        best = min_segments(pairs)
-        if best is None:
-            return MetricResult(kind, None, False)
-        witnesses = tuple(
-            sorted(
-                (_decode_record(store, p, vocab) for p in ms_shortest_paths(pairs)),
-                key=PathRecord.key,
-            )
-        )
-        return MetricResult(kind, best - 1, True, witnesses)
-
-    if kind is MetricKind.ECCENTRICITY:
-        if source is None:
-            raise ValueError("eccentricity needs a source vertex")
-        value, skipped = ecc_value(source)
-        if value is None:
-            return MetricResult(kind, None, False, (), skipped)
-        return MetricResult(kind, value, True, (), skipped)
-
-    if kind in (MetricKind.RADIUS, MetricKind.DIAMETER):
-        if len(universe) < 2:
-            raise ValueError(f"{kind.value} needs at least two vertices")
-        values = [ecc_value(v)[0] for v in universe]
-        defined = [v for v in values if v is not None]
-        skipped = sum(1 for v in values if v is None)
-        if not defined:
-            return MetricResult(kind, None, False, (), skipped)
-        pick = min if kind is MetricKind.RADIUS else max
-        return MetricResult(kind, pick(defined), True, (), skipped)
-
-    if kind is MetricKind.CLOSENESS:
-        if source is None:
-            raise ValueError("closeness needs a source vertex")
-        distances = [distance(source, j) for j in universe if j != source]
-        reached = [d for d in distances if d is not None]
-        skipped = len(distances) - len(reached)
-        if not reached:
-            return MetricResult(kind, None, False, (), skipped)
-        return MetricResult(kind, 1.0 / sum(reached), True, (), skipped)
-
-    if kind is MetricKind.BETWEENNESS:
-        if source is None:
-            raise ValueError("betweenness needs a vertex")
-        total = 0.0
-        for j in universe:
-            for k in universe:
-                if j == k or source in (j, k):
-                    continue
-                shortest = ms_shortest_paths(query_X(store, j, k, grammar_id, vocab))
-                if not shortest:
-                    continue
-                through = query_Y(store, j, k, source, grammar_id, vocab)
-                total += len(through) / len(shortest)
-        return MetricResult(kind, total, True)
-
-    raise ValueError(f"unknown metric kind {kind!r}")
+    return fold(kind, StorePaths(store, grammar_id, vocab), vertices, source, target)

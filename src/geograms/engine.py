@@ -7,16 +7,10 @@ path).  Each generation, every frontier walker executes its context's
 rules in order; a traverse rule with several legal transitions clones the
 walker, one clone per transition.  Walkers reaching the exit context run
 its rules and retire their recorded path into the result set.
-
-Expansion within a generation is a pure function of (walker, graph,
-grammar), so walkers may be processed in parallel; results are assembled
-in a fixed order, which keeps every output identical regardless of the
-worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -158,7 +152,7 @@ def not_set(walker: Walker, attrs: Iterable, context_id: str = "?") -> frozenset
 
 
 class _TraceSink:
-    """Per-walker collector for trace data; merged single-threaded later."""
+    """Trace data collected by ``legal_edges`` over one generation."""
 
     __slots__ = ("examined", "rejections", "raw_candidates")
 
@@ -301,32 +295,6 @@ class RunTrace:
 # -- frontier expansion ------------------------------------------------------------
 
 
-class _Outcome(NamedTuple):
-    walker: Walker  # after pathcount rules ran
-    finished: bool
-    transitions: tuple
-    sink: _TraceSink | None
-
-
-def _process_walker(
-    graph: Graph, grammar: Grammar, walker: Walker, want_trace: bool
-) -> _Outcome:
-    context = grammar.contexts[walker.context]
-    sink = _TraceSink() if want_trace else None
-    transitions: tuple = ()
-    for rule in context.rules:
-        if isinstance(rule, PathCount):
-            walker = apply_path_count(walker, rule.step)
-        else:
-            if context.kind is ContextKind.EXIT:
-                raise GrammarRuntimeError(
-                    "exit context must not traverse", context_id=context.id
-                )
-            found = legal_edges(graph, grammar, walker, rule, collector=sink)
-            transitions = tuple(sorted(found, key=Transition.sort_key))
-    return _Outcome(walker, context.kind is ContextKind.EXIT, transitions, sink)
-
-
 class ExpandResult(NamedTuple):
     frontier: tuple
     finished: frozenset
@@ -339,46 +307,46 @@ def expand(
     *,
     next_id: int = 0,
     trace: RunTrace | None = None,
-    pool: ThreadPoolExecutor | None = None,
 ) -> tuple[ExpandResult, int]:
     """One synchronous generation step over every walker in the frontier.
 
-    Returns the new frontier, the records finished this generation, and the
-    next free walker id.  Successor walkers are created in a fixed order so
-    that ids, and therefore every downstream artifact, do not depend on set
-    iteration order or on the worker pool.
+    Each walker in id order runs its context's rules.  Returns the new
+    frontier, the records finished this generation, and the next free
+    walker id.  Successors are created in a fixed order, so ids, and
+    therefore every downstream artifact, do not depend on set iteration
+    order.
     """
-    ordered = sorted(frontier, key=lambda w: w.id)
-    want_trace = trace is not None
-
-    def job(walker: Walker) -> _Outcome:
-        return _process_walker(graph, grammar, walker, want_trace)
-
-    outcomes = list(pool.map(job, ordered)) if pool is not None else [job(w) for w in ordered]
-
+    sink = _TraceSink() if trace is not None else None
     successors = []
     finished = set()
     emitted = set()
-    rejections = []
-    for outcome in outcomes:
-        walker = outcome.walker
-        if outcome.finished:
-            finished.add(PathRecord(walker.recorded))
-        else:
-            for transition in outcome.transitions:
-                forward = transition.direction is Direction.FORWARD
-                destination = transition.triple.object if forward else transition.triple.subject
-                step = PathStep(destination, transition.triple.predicate, transition.direction)
-                successors.append(
-                    Walker(next_id, transition.next_context, walker.trail + (step,), walker.recorded)
+    for walker in sorted(frontier, key=lambda w: w.id):
+        context = grammar.contexts[walker.context]
+        transitions: tuple = ()
+        for rule in context.rules:
+            if isinstance(rule, PathCount):
+                walker = apply_path_count(walker, rule.step)
+            elif context.kind is ContextKind.EXIT:
+                raise GrammarRuntimeError(
+                    "exit context must not traverse", context_id=context.id
                 )
-                next_id += 1
-        if trace is not None and outcome.sink is not None:
-            trace.raw_candidates += outcome.sink.raw_candidates
-            trace.edges_examined.update(outcome.sink.examined)
-            rejections.extend(outcome.sink.rejections)
-            emitted.update(outcome.transitions)
+            else:
+                found = legal_edges(graph, grammar, walker, rule, collector=sink)
+                transitions = tuple(sorted(found, key=Transition.sort_key))
+        if context.kind is ContextKind.EXIT:
+            finished.add(PathRecord(walker.recorded))
+        emitted.update(transitions)
+        for transition in transitions:
+            forward = transition.direction is Direction.FORWARD
+            destination = transition.triple.object if forward else transition.triple.subject
+            step = PathStep(destination, transition.triple.predicate, transition.direction)
+            successors.append(
+                Walker(next_id, transition.next_context, walker.trail + (step,), walker.recorded)
+            )
+            next_id += 1
     if trace is not None:
+        trace.raw_candidates += sink.raw_candidates
+        trace.edges_examined.update(sink.examined)
         for walker in successors:
             trace.vertices_visited.add(walker.vertex)
             trace.walker_ids.add(walker.id)
@@ -388,7 +356,7 @@ def expand(
                 frontier_size=len(successors),
                 finished_count=len(finished),
                 emitted=frozenset(emitted),
-                rejections=tuple(rejections),
+                rejections=tuple(sink.rejections),
             )
         )
     return ExpandResult(tuple(successors), frozenset(finished)), next_id
@@ -412,10 +380,15 @@ def run(
     completes any path; that generation's records are the tied-shortest
     set.  In ALL_PATHS mode the run continues until no walkers remain.  If
     ``max_steps`` generations elapse with walkers still alive, the run
-    aborts with a truncation error carrying all paths completed so far.
+    aborts with a truncation error naming the endpoint pair and carrying
+    all paths completed so far.  Runs are single-threaded; ``workers`` is
+    checked and otherwise ignored, so every worker count gives the same
+    output.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     entry = grammar.entry_context
     source = entry.for_resource
     if source not in graph.vertices():
@@ -438,22 +411,19 @@ def run(
     frontier: tuple = (seed,)
     next_id = 1
     results: set = set()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        generation = 0
-        while frontier:
-            if generation >= max_steps:
-                raise TruncationError(max_steps, frozenset(r for r in results if accepted(r)))
-            (frontier, newly), next_id = expand(
-                graph, grammar, frontier, next_id=next_id, trace=trace, pool=pool
+    generation = 0
+    while frontier:
+        if generation >= max_steps:
+            raise TruncationError(
+                max_steps,
+                frozenset(r for r in results if accepted(r)),
+                (source, sink_vertex),
             )
-            results.update(newly)
-            if mode is RunMode.SHORTEST_ONLY:
-                found = frozenset(r for r in newly if accepted(r))
-                if found:
-                    return found
-            generation += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        (frontier, newly), next_id = expand(graph, grammar, frontier, next_id=next_id, trace=trace)
+        results.update(newly)
+        if mode is RunMode.SHORTEST_ONLY:
+            found = frozenset(r for r in newly if accepted(r))
+            if found:
+                return found
+        generation += 1
     return frozenset(r for r in results if accepted(r))

@@ -52,15 +52,18 @@ class UnresolvableEntryError(GeogramsError):
 class TruncationError(GeogramsError):
     """A run hit its generation cap with walkers still alive.
 
-    ``partial_records`` holds every complete path found before the cap.
+    ``partial_records`` holds every complete path found before the cap;
+    ``pair`` is the (source, sink) the run was bound to, when known.
     """
 
-    def __init__(self, max_steps: int, partial_records: frozenset):
+    def __init__(self, max_steps: int, partial_records: frozenset, pair: tuple | None = None):
         self.max_steps = max_steps
         self.partial_records = partial_records
+        self.pair = pair
+        where = "" if pair is None else f" from {pair[0]!r} to {pair[1]!r}"
         super().__init__(
-            f"run truncated after {max_steps} generations with walkers still active "
-            f"({len(partial_records)} complete paths found)"
+            f"run{where} truncated after {max_steps} generations with walkers still "
+            f"active ({len(partial_records)} complete paths found)"
         )
 
 

@@ -1,9 +1,10 @@
-"""Geodesic metrics driven by grammar runs, plus the classic BFS oracle.
+"""Geodesic metrics folded over a path provider, plus the classic BFS oracle.
 
-Every metric here reduces to the grammar-constrained shortest path: the
-endpoint pair is rebound on the supplied grammar, the walker engine runs
-in shortest-only mode, and the aggregate is folded over the resulting
-distances.  Unreachable targets are skipped rather than poisoning an
+Every metric here reduces to the grammar-constrained shortest path, and
+``fold`` builds all six from a provider of shortest paths: ``WalkerPaths``
+rebinds the grammar's endpoints to each pair and runs the walker engine
+in shortest-only mode; ``encoding.StorePaths`` answers from the path
+store.  Unreachable targets are skipped rather than poisoning an
 aggregate; the number skipped is reported on the result.
 
 ``unlabeled_oracle_geodesics`` is an independent reference: plain BFS on
@@ -15,7 +16,6 @@ engine, which is what makes it usable as an oracle against it.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
@@ -57,6 +57,10 @@ class MetricKind(Enum):
     BETWEENNESS = "betweenness"
 
 
+# metrics measured at one vertex: they need a source
+VERTEX_KINDS = frozenset({MetricKind.ECCENTRICITY, MetricKind.CLOSENESS, MetricKind.BETWEENNESS})
+
+
 @dataclass(frozen=True)
 class MetricResult:
     kind: MetricKind
@@ -66,39 +70,96 @@ class MetricResult:
     skipped_targets: int = 0
 
 
-def _undefined(kind: MetricKind, skipped: int = 0) -> MetricResult:
-    return MetricResult(kind, None, False, (), skipped)
+@dataclass(frozen=True)
+class WalkerPaths:
+    """Path provider backed by one shortest-only walker run per pair."""
+
+    graph: Graph
+    grammar: Grammar
+    max_steps: int = DEFAULT_MAX_STEPS
+
+    def witnesses(self, source=None, target=None) -> tuple:
+        """Tied-shortest records in key order; without a pair, the grammar's own."""
+        grammar = self.grammar if source is None else rebind_endpoints(self.grammar, source, target)
+        records = run(self.graph, grammar, RunMode.SHORTEST_ONLY, self.max_steps)
+        if not records:
+            return ()
+        best = min(r.edge_length for r in records)
+        return tuple(sorted((r for r in records if r.edge_length == best), key=PathRecord.key))
+
+    def distance(self, source: Resource, target: Resource) -> Optional[int]:
+        found = self.witnesses(source, target)
+        return found[0].edge_length if found else None
+
+    def through(self, source: Resource, target: Resource, vertex: Resource) -> Optional[tuple]:
+        """(tied-shortest paths with ``vertex`` strictly inside, all of them); None if none."""
+        found = self.witnesses(source, target)
+        if not found:
+            return None
+        return sum(1 for r in found if vertex in r.vertices()[1:-1]), len(found)
+
+
+def _distances(paths, source: Resource, universe: list) -> tuple[list, int]:
+    """Distances from ``source`` to every reachable other vertex, and how many were not."""
+    distances = [paths.distance(source, t) for t in universe if t != source]
+    reached = [d for d in distances if d is not None]
+    return reached, len(distances) - len(reached)
+
+
+def fold(
+    kind: MetricKind,
+    paths,
+    vertices: Iterable = (),
+    source: Optional[Resource] = None,
+    target: Optional[Resource] = None,
+) -> MetricResult:
+    """One metric from a provider answering ``witnesses(source, target)``,
+    ``distance(i, j)`` and ``through(j, k, v)``; pairs go in resource-key order.
+
+    ``source`` is the measured vertex, and shortest path also takes ``target``.
+    """
+    if kind in VERTEX_KINDS and source is None:
+        raise ValueError(f"{kind.value} needs a source vertex")
+    if kind is MetricKind.SHORTEST_PATH:
+        found = paths.witnesses(source, target)
+        if not found:
+            return MetricResult(kind, None, False)
+        return MetricResult(kind, found[0].edge_length, True, found)
+    universe = sorted(set(vertices), key=resource_key)
+    if kind is MetricKind.BETWEENNESS:
+        total = 0.0
+        for j in universe:
+            for k in universe:
+                if j != k and source not in (j, k):
+                    share = paths.through(j, k, source)
+                    if share is not None:
+                        total += share[0] / share[1]
+        return MetricResult(kind, total, True)
+    if kind in (MetricKind.RADIUS, MetricKind.DIAMETER):
+        if len(universe) < 2:
+            raise ValueError(f"{kind.value} needs at least two vertices")
+        eccentricities = [max(_distances(paths, v, universe)[0], default=None) for v in universe]
+        values = [e for e in eccentricities if e is not None]
+        skipped = len(eccentricities) - len(values)
+    else:
+        values, skipped = _distances(paths, source, universe)
+    if not values:
+        return MetricResult(kind, None, False, (), skipped)
+    if kind is MetricKind.CLOSENESS:
+        return MetricResult(kind, 1.0 / sum(values), True, (), skipped)
+    pick = min if kind is MetricKind.RADIUS else max
+    return MetricResult(kind, pick(values), True, (), skipped)
 
 
 def shortest_path(
-    graph: Graph,
-    grammar: Grammar,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    workers: int = 1,
+    graph: Graph, grammar: Grammar, max_steps: int = DEFAULT_MAX_STEPS
 ) -> MetricResult:
     """Shortest grammar-constrained path between the grammar's endpoints.
 
     The witnesses are every tied-shortest record; the value is their edge
     length.  Undefined when the sink is unreachable under the grammar.
     """
-    records = run(graph, grammar, RunMode.SHORTEST_ONLY, max_steps, workers=workers)
-    if not records:
-        return _undefined(MetricKind.SHORTEST_PATH)
-    best = min(r.edge_length for r in records)
-    witnesses = tuple(sorted((r for r in records if r.edge_length == best), key=PathRecord.key))
-    return MetricResult(MetricKind.SHORTEST_PATH, best, True, witnesses)
-
-
-def _pair_distance(graph, grammar, source, target, max_steps) -> Optional[int]:
-    result = shortest_path(graph, rebind_endpoints(grammar, source, target), max_steps)
-    return result.value if result.defined else None
-
-
-def _map_ordered(fn, items, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    return fold(MetricKind.SHORTEST_PATH, WalkerPaths(graph, grammar, max_steps))
 
 
 def eccentricity(
@@ -107,50 +168,19 @@ def eccentricity(
     source: Resource,
     targets: Iterable,
     max_steps: int = DEFAULT_MAX_STEPS,
-    workers: int = 1,
 ) -> MetricResult:
     """Largest shortest path from ``source`` to any reachable target."""
-    others = sorted((t for t in set(targets) if t != source), key=resource_key)
-    distances = _map_ordered(
-        lambda t: _pair_distance(graph, grammar, source, t, max_steps), others, workers
-    )
-    reached = [d for d in distances if d is not None]
-    skipped = len(distances) - len(reached)
-    if not reached:
-        return _undefined(MetricKind.ECCENTRICITY, skipped)
-    return MetricResult(MetricKind.ECCENTRICITY, max(reached), True, (), skipped)
+    return fold(MetricKind.ECCENTRICITY, WalkerPaths(graph, grammar, max_steps), targets, source)
 
 
-def _spread(
-    kind: MetricKind,
-    pick,
-    graph: Graph,
-    grammar: Grammar,
-    vertices: Iterable,
-    max_steps: int,
-    workers: int,
-) -> MetricResult:
-    universe = sorted(set(vertices), key=resource_key)
-    if len(universe) < 2:
-        raise ValueError(f"{kind.value} needs at least two vertices")
-    results = _map_ordered(
-        lambda v: eccentricity(graph, grammar, v, universe, max_steps), universe, workers
-    )
-    defined = [r.value for r in results if r.defined]
-    skipped = sum(1 for r in results if not r.defined)
-    if not defined:
-        return _undefined(kind, skipped)
-    return MetricResult(kind, pick(defined), True, (), skipped)
-
-
-def radius(graph, grammar, vertices, max_steps=DEFAULT_MAX_STEPS, workers=1) -> MetricResult:
+def radius(graph, grammar, vertices, max_steps=DEFAULT_MAX_STEPS) -> MetricResult:
     """Minimum eccentricity over the vertex universe."""
-    return _spread(MetricKind.RADIUS, min, graph, grammar, vertices, max_steps, workers)
+    return fold(MetricKind.RADIUS, WalkerPaths(graph, grammar, max_steps), vertices)
 
 
-def diameter(graph, grammar, vertices, max_steps=DEFAULT_MAX_STEPS, workers=1) -> MetricResult:
+def diameter(graph, grammar, vertices, max_steps=DEFAULT_MAX_STEPS) -> MetricResult:
     """Maximum eccentricity over the vertex universe."""
-    return _spread(MetricKind.DIAMETER, max, graph, grammar, vertices, max_steps, workers)
+    return fold(MetricKind.DIAMETER, WalkerPaths(graph, grammar, max_steps), vertices)
 
 
 def closeness(
@@ -159,18 +189,9 @@ def closeness(
     source: Resource,
     targets: Iterable,
     max_steps: int = DEFAULT_MAX_STEPS,
-    workers: int = 1,
 ) -> MetricResult:
     """Reciprocal of the summed shortest paths to every reachable target."""
-    others = sorted((t for t in set(targets) if t != source), key=resource_key)
-    distances = _map_ordered(
-        lambda t: _pair_distance(graph, grammar, source, t, max_steps), others, workers
-    )
-    reached = [d for d in distances if d is not None]
-    skipped = len(distances) - len(reached)
-    if not reached:
-        return _undefined(MetricKind.CLOSENESS, skipped)
-    return MetricResult(MetricKind.CLOSENESS, 1.0 / sum(reached), True, (), skipped)
+    return fold(MetricKind.CLOSENESS, WalkerPaths(graph, grammar, max_steps), targets, source)
 
 
 def betweenness(
@@ -179,7 +200,6 @@ def betweenness(
     vertex: Resource,
     vertices: Iterable,
     max_steps: int = DEFAULT_MAX_STEPS,
-    workers: int = 1,
 ) -> MetricResult:
     """Fraction of tied-shortest paths passing through ``vertex``, summed
     over every ordered endpoint pair not involving it.
@@ -187,24 +207,7 @@ def betweenness(
     A path counts when the vertex appears strictly between its endpoints.
     Pairs with no path contribute nothing.
     """
-    universe = sorted(set(vertices), key=resource_key)
-    pairs = [
-        (j, k)
-        for j in universe
-        for k in universe
-        if j != k and vertex not in (j, k)
-    ]
-
-    def contribution(pair):
-        j, k = pair
-        result = shortest_path(graph, rebind_endpoints(grammar, j, k), max_steps)
-        if not result.defined:
-            return 0.0
-        through = sum(1 for r in result.witness_paths if vertex in r.vertices()[1:-1])
-        return through / len(result.witness_paths)
-
-    total = sum(_map_ordered(contribution, pairs, workers))
-    return MetricResult(MetricKind.BETWEENNESS, total, True)
+    return fold(MetricKind.BETWEENNESS, WalkerPaths(graph, grammar, max_steps), vertices, vertex)
 
 
 # -- universe helpers -----------------------------------------------------------

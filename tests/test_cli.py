@@ -208,27 +208,34 @@ def test_grammar_parse_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_env_var_overrides_max_steps(capsys, monkeypatch, tmp_path):
+CYCLE_NT = (
+    "@prefix ex: <http://example.org/t#> .\n"
+    "ex:a ex:p ex:b .\nex:b ex:p ex:c .\nex:c ex:p ex:a .\nex:x ex:p ex:y .\n"
+)
+
+# no notever on the hop context: walkers circle a -> b -> c until the cap
+CYCLE_PG = (
+    "@prefix ex: <http://example.org/t#>\n"
+    "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
+    "context e entry for ex:a {\n  pathcount 0\n"
+    "  traverse out ex:p -> H, out ex:p -> sink\n}\n"
+    "context H for rdfs:Resource {\n  pathcount 0\n"
+    "  traverse out ex:p -> H, out ex:p -> sink\n}\n"
+    "context sink exit for ex:x {\n  pathcount 0\n}\n"
+)
+
+
+def cycle_args(tmp_path):
     cyclic = tmp_path / "cyclic.nt"
-    cyclic.write_text(
-        "@prefix ex: <http://example.org/t#> .\n"
-        "ex:a ex:p ex:b .\nex:b ex:p ex:c .\nex:c ex:p ex:a .\nex:x ex:p ex:y .\n"
-    )
+    cyclic.write_text(CYCLE_NT)
     hazardous = tmp_path / "hazard.pg"
-    hazardous.write_text(
-        "@prefix ex: <http://example.org/t#>\n"
-        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
-        "context e entry for ex:a {\n  pathcount 0\n"
-        "  traverse out ex:p -> H, out ex:p -> sink\n}\n"
-        "context H for rdfs:Resource {\n  pathcount 0\n"
-        "  traverse out ex:p -> H, out ex:p -> sink\n}\n"
-        "context sink exit for ex:x {\n  pathcount 0\n}\n"
-    )
+    hazardous.write_text(CYCLE_PG)
+    return ["--graph", str(cyclic), "--grammar", str(hazardous)]
+
+
+def test_env_var_overrides_max_steps(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv(cli.ENV_MAX_STEPS, "9")
-    code, _, err = run_cli(
-        capsys,
-        "paths", "--graph", str(cyclic), "--grammar", str(hazardous),
-    )
+    code, _, err = run_cli(capsys, "paths", *cycle_args(tmp_path))
     assert code == 2
     assert "9 generations" in err
 
@@ -258,3 +265,66 @@ def test_threads_flag_output_identical(capsys):
         payload.pop("wall_time_ms")
         outputs.append(json.dumps(payload))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+FOUR_HUMANS = [
+    arg for name in ("johan", "marko", "jhw", "norman") for arg in ("--vertices", f"lanl:{name}")
+]
+
+
+@pytest.mark.parametrize(
+    "kind", ["eccentricity", "radius", "diameter", "closeness", "betweenness"]
+)
+def test_metric_aggregate_any_path_golden(capsys, kind):
+    code, out, _ = run_cli(
+        capsys,
+        "metric", *graph_args(),
+        "--grammar", str(FIXTURES / "any_path.pg"),
+        "--metric", kind, "--vertex", "lanl:marko", *FOUR_HUMANS, "--output", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    payload["wall_time_ms"] = 0
+    golden = (GOLDEN / f"metric_{kind}.json").read_text()
+    assert json.dumps(payload, indent=2) + "\n" == golden
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-steps", "0"), ("--max-steps", "-3"), ("--max-steps", "x"),
+     ("--threads", "0"), ("--threads", "-3")],
+)
+def test_count_below_one_is_usage_error(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys,
+        "paths", *graph_args(),
+        "--grammar", str(FIXTURES / "researcher_path.pg"),
+        flag, value,
+    )
+    assert code == 1
+    assert flag in err and out == ""
+
+
+def test_env_max_steps_zero_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_MAX_STEPS, "0")
+    code, _, err = run_cli(
+        capsys,
+        "metric", *graph_args(),
+        "--grammar", str(FIXTURES / "any_path.pg"),
+        "--metric", "shortest-path",
+    )
+    assert code == 1
+    assert cli.ENV_MAX_STEPS in err
+
+
+def test_truncated_aggregate_names_the_pair(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys,
+        "metric", *cycle_args(tmp_path),
+        "--metric", "eccentricity", "--vertex", "ex:a",
+        "--vertices", "ex:a", "--vertices", "ex:b", "--vertices", "ex:x",
+        "--max-steps", "5",
+    )
+    assert code == 2
+    assert "5 generations" in err
+    assert "from <http://example.org/t#a> to <http://example.org/t#x>" in err

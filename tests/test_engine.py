@@ -399,6 +399,18 @@ def test_notever_free_cycle_truncates_at_max_steps():
     assert info.value.partial_records == frozenset()
 
 
+def test_truncation_inside_eccentricity_names_the_pair():
+    from geograms.metrics import eccentricity
+
+    grammar = parse_grammar_dsl(CYCLE_DSL)
+    with pytest.raises(TruncationError) as info:
+        eccentricity(CYCLE_GRAPH, grammar, t("a"), [t("a"), t("b"), t("x")], max_steps=7)
+    # b is reached in one generation; walkers bound for x circle until the cap
+    assert info.value.pair == (t("a"), t("x"))
+    assert info.value.max_steps == 7
+    assert repr(t("x")) in str(info.value)
+
+
 def test_visit_bound_on_unconstrained_shortest(social_graph, any_path_grammar):
     trace = RunTrace()
     run(social_graph, any_path_grammar, RunMode.SHORTEST_ONLY, 50, trace=trace)
@@ -460,3 +472,9 @@ def test_subsumption_mode_changes_traversal():
     assert len(run(closure_graph, grammar, RunMode.ALL_PATHS, 10)) == 1
     single_hop = load_ntriples(SUBSUMPTION_DATA, subsumption=SubsumptionMode.SINGLE_HOP)
     assert run(single_hop, grammar, RunMode.ALL_PATHS, 10) == frozenset()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_rejects_workers_below_one(social_graph, researcher_grammar, workers):
+    with pytest.raises(ValueError):
+        run(social_graph, researcher_grammar, RunMode.ALL_PATHS, 50, workers=workers)
