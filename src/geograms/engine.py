@@ -7,12 +7,22 @@ path).  Each generation, every frontier walker executes its context's
 rules in order; a traverse rule with several legal transitions clones the
 walker, one clone per transition.  Walkers reaching the exit context run
 its rules and retire their recorded path into the result set.
+
+Walkers step on integer ids.  The first run over a graph fills the
+graph's ``GraphIndex``: dense vertex and triple ids, and per vertex the
+triples leaving and entering it.  A walker keeps its trail's vertex ids
+and a bitmask of the vertices it has visited, so the checks
+``legal_edges`` makes per candidate edge are list lookups and bit tests
+on ints.  ``Triple``s, ``Transition``s and ``PathRecord``s are built only
+for what a step returns, what a run returns, and what a ``RunTrace``
+records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import GrammarRuntimeError, TruncationError, UnresolvableEntryError
@@ -41,10 +51,16 @@ class PathStep:
     vertex: Resource
     predicate: Optional[Iri] = None
     direction: Optional[Direction] = None
+    # computed once, so that hashing a record costs one call per step
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.predicate is None) != (self.direction is None):
             raise ValueError("predicate and direction must be both present or both absent")
+        object.__setattr__(self, "_hash", hash((self.vertex, self.predicate, self.direction)))
+
+    def __hash__(self):
+        return self._hash
 
     def key(self) -> tuple:
         return (
@@ -59,6 +75,13 @@ class PathRecord:
     """A returned path: the steps a walker chose to record."""
 
     steps: tuple[PathStep, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.steps))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def edge_length(self) -> int:
@@ -84,12 +107,181 @@ class PathRecord:
         return "".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
+class Transition(NamedTuple):
+    triple: Triple
+    direction: Direction
+    next_context: str
+
+
+class RunMode(Enum):
+    SHORTEST_ONLY = "shortest"
+    ALL_PATHS = "all"
+
+
+# a move is 2 * triple id + d: d = 0 follows the triple, d = 1 opposes it
+_DIRECTIONS = (Direction.FORWARD, Direction.BACKWARD)
+
+
+# -- the integer index of a graph --------------------------------------------------
+
+
+class GraphIndex:
+    """Dense integer ids for one graph's vertices and triples.
+
+    Vertex ids follow ``resource_key`` order and triple ids ``triple_key``
+    order, so stepping in id order is stepping in the order the engine
+    promises.  ``outgoing[v]`` and ``incoming[v]`` list ``(triple id, far
+    vertex id, predicate id)`` for the triples leaving and entering vertex
+    ``v``; both end with one empty list for id -1, which names a vertex the
+    graph does not have.  ``steps[move]`` is the ``PathStep`` a move appends
+    and ``far[move]`` the id of the vertex it reaches.
+
+    The index also caches, per wanted predicate, which predicate ids it
+    admits, and per wanted resource, which vertex ids it admits with what
+    specificity; both are computed through ``Graph.is_subproperty_or_equal``
+    and ``Graph.has_type_or_equal``, so every subsumption mode stays exact.
+    They fill on demand and are shared by every grammar run on the graph.
+    """
+
+    __slots__ = (
+        "graph",
+        "vertex_id",
+        "triples",
+        "triple_id",
+        "outgoing",
+        "incoming",
+        "steps",
+        "far",
+        "_predicates",
+        "_admissible",
+        "_admitted",
+        "_rules",
+    )
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        vertices = sorted(graph.vertices(), key=resource_key)
+        self.vertex_id = {v: i for i, v in enumerate(vertices)}
+        self._predicates = sorted({t.predicate for t in graph.triples}, key=resource_key)
+        predicate_id = {p: i for i, p in enumerate(self._predicates)}
+        self.triples = sorted(graph.triples, key=triple_key)
+        self.triple_id = {t: i for i, t in enumerate(self.triples)}
+        outgoing = [[] for _ in range(len(vertices) + 1)]
+        incoming = [[] for _ in range(len(vertices) + 1)]
+        self.steps = []
+        self.far = []
+        for tid, t in enumerate(self.triples):
+            s, o, p = self.vertex_id[t.subject], self.vertex_id[t.object], predicate_id[t.predicate]
+            outgoing[s].append((tid, o, p))
+            incoming[o].append((tid, s, p))
+            self.steps += (
+                PathStep(t.object, t.predicate, Direction.FORWARD),
+                PathStep(t.subject, t.predicate, Direction.BACKWARD),
+            )
+            self.far += (o, s)
+        self.outgoing = outgoing
+        self.incoming = incoming
+        self._admissible = {}
+        self._admitted = {}
+        self._rules = (None, {})
+
+    def bind(self, walker: "Walker") -> "Walker":
+        """``walker`` with its trail's vertex ids and visited mask on this index."""
+        if walker.index is self:
+            return walker
+        vids = tuple(self.vertex_id.get(step.vertex, -1) for step in walker.trail)
+        mask = 0
+        for vid in vids:
+            if vid >= 0:
+                mask |= 1 << vid
+        return Walker(walker.id, walker.context, walker.trail, walker.recorded, self, vids, mask)
+
+    def admissible(self, wanted: Iri) -> list | None:
+        """Per predicate id, whether it is ``wanted`` or below it; None if every one is."""
+        found = self._admissible.get(wanted, False)
+        if found is False:
+            below = self.graph.is_subproperty_or_equal
+            found = [below(p, wanted) for p in self._predicates]
+            self._admissible[wanted] = found = None if all(found) else found
+        return found
+
+    def admitted(self, wanted: Resource) -> dict:
+        """Vertex id -> specificity (0 equal, 1 typed, 2 wildcard) of every vertex ``wanted`` admits."""
+        found = self._admitted.get(wanted)
+        if found is None:
+            typed = self.graph.has_type_or_equal
+            found = self._admitted[wanted] = {
+                vid: _specificity(v, wanted) for v, vid in self.vertex_id.items() if typed(v, wanted)
+            }
+        return found
+
+    def resolve(self, grammar: Grammar, rule: Traverse) -> tuple:
+        """The ``_Spec`` of every edge spec of ``rule``.
+
+        Cached for the last grammar seen, so a run resolves each rule once.
+        """
+        seen, rules = self._rules
+        if seen is not grammar:
+            rules = {}
+            self._rules = (grammar, rules)
+        entry = rules.get(id(rule))
+        if entry is None or entry[0] is not rule:
+            entry = rules[id(rule)] = (rule, tuple(self._resolve_spec(grammar, spec) for spec in rule.edges))
+        return entry[1]
+
+    def _resolve_spec(self, grammar: Grammar, spec) -> "_Spec":
+        far = grammar.contexts[spec.far_context]
+        return _Spec(
+            spec.direction is Direction.BACKWARD,
+            self.admissible(spec.predicate),
+            self.admitted(far.for_resource),
+            tuple(a.step for a in far.attributes if isinstance(a, Is)),
+            tuple(a.step for a in far.attributes if isinstance(a, Not)),
+            far.has_not_ever,
+            spec.far_context,
+            far.id,
+        )
+
+
+class _Spec(NamedTuple):
+    """An edge spec with every check it makes looked up on a ``GraphIndex``."""
+
+    backward: bool
+    admissible: list | None  # per predicate id, or None when all are
+    admitted: dict  # far vertex id -> specificity
+    is_steps: tuple
+    not_steps: tuple
+    notever: bool
+    far_context: str
+    far_id: str  # the far context's own id, which errors name
+
+
+def index_of(graph: Graph) -> GraphIndex:
+    """The graph's engine index, built on first use and cached on the graph."""
+    index = graph.engine_index
+    if index is None:
+        index = graph.engine_index = GraphIndex(graph)
+    return index
+
+
+@dataclass(slots=True, eq=False)
 class Walker:
+    """A walker: its id, its context, its trail and its recorded path.
+
+    ``trail`` holds every step taken, ``recorded`` the steps pathcount
+    rules picked.  ``vids`` and ``mask`` are the trail's vertex ids and a
+    bitmask of the vertices visited, on the ``GraphIndex`` in ``index``;
+    a walker built from its first four fields gets them from
+    ``GraphIndex.bind`` when the engine first steps it.
+    """
+
     id: int
     context: str
-    trail: tuple[PathStep, ...]
-    recorded: tuple[PathStep, ...] = ()
+    trail: tuple
+    recorded: tuple = ()
+    index: Optional[GraphIndex] = None
+    vids: tuple = ()
+    mask: int = 0
 
     @property
     def time_index(self) -> int:
@@ -100,20 +292,6 @@ class Walker:
         return self.trail[-1].vertex
 
 
-class Transition(NamedTuple):
-    triple: Triple
-    direction: Direction
-    next_context: str
-
-    def sort_key(self) -> tuple:
-        return (triple_key(self.triple), self.direction.value, self.next_context)
-
-
-class RunMode(Enum):
-    SHORTEST_ONLY = "shortest"
-    ALL_PATHS = "all"
-
-
 # -- attribute sets ------------------------------------------------------------
 
 
@@ -122,30 +300,29 @@ def not_ever_set(walker: Walker) -> frozenset:
     return frozenset(step.vertex for step in walker.trail)
 
 
-def _attribute_targets(walker: Walker, attrs: Iterable, wanted_type, context_id: str) -> frozenset:
-    resolved_position = len(walker.trail)
-    targets = set()
-    for attr in attrs:
-        if isinstance(attr, wanted_type):
-            position = resolved_position - attr.step
-            if position < 0:
-                raise GrammarRuntimeError(
-                    f"{wanted_type.__name__.lower()} step {attr.step} reaches before the "
-                    f"start of the path at position {resolved_position}",
-                    context_id=context_id,
-                )
-            targets.add(walker.trail[position].vertex)
-    return frozenset(targets)
+def _reach_back(length: int, steps: Iterable, kind: str, context_id: str) -> list:
+    """Trail positions ``steps`` before position ``length``, the one being resolved."""
+    positions = []
+    for step in steps:
+        if step > length:
+            raise GrammarRuntimeError(
+                f"{kind} step {step} reaches before the start of the path at position {length}",
+                context_id=context_id,
+            )
+        positions.append(length - step)
+    return positions
 
 
 def is_set(walker: Walker, attrs: Iterable, context_id: str = "?") -> frozenset:
     """Vertices the next context must resolve to; empty means unconstrained."""
-    return _attribute_targets(walker, attrs, Is, context_id)
+    steps = [a.step for a in attrs if isinstance(a, Is)]
+    return frozenset(walker.trail[p].vertex for p in _reach_back(len(walker.trail), steps, "is", context_id))
 
 
 def not_set(walker: Walker, attrs: Iterable, context_id: str = "?") -> frozenset:
     """Vertices the next context must not resolve to."""
-    return _attribute_targets(walker, attrs, Not, context_id)
+    steps = [a.step for a in attrs if isinstance(a, Not)]
+    return frozenset(walker.trail[p].vertex for p in _reach_back(len(walker.trail), steps, "not", context_id))
 
 
 # -- legal edge computation ------------------------------------------------------
@@ -185,7 +362,7 @@ def legal_edges(
     walker: Walker,
     rule: Traverse,
     collector: _TraceSink | None = None,
-) -> frozenset:
+) -> tuple:
     """Every transition the walker may take under ``rule``; one per edge.
 
     For an outgoing edge spec, candidate triples leave the walker's vertex;
@@ -197,71 +374,79 @@ def legal_edges(
     A traversed edge yields exactly one successor: when several specs of
     the rule admit the same (triple, direction), the walker resolves into
     the most specific matching context (vertex equality over type match
-    over the any-resource wildcard, then rule order).  An empty result
-    halts the walker.
+    over the any-resource wildcard, then rule order).  Transitions come in
+    (triple, direction) order, forward first.  An empty result halts the
+    walker.
     """
-    here = walker.vertex
-    best: dict = {}
-    blocked_cache: frozenset | None = None
-    for spec_index, spec in enumerate(rule.edges):
-        far = grammar.contexts[spec.far_context]
-        required = is_set(walker, far.attributes, far.id)
-        excluded = not_set(walker, far.attributes, far.id)
-        if far.has_not_ever:
-            if blocked_cache is None:
-                blocked_cache = not_ever_set(walker)
-            blocked = blocked_cache
-        else:
-            blocked = frozenset()
-
-        if spec.direction is Direction.FORWARD:
-            candidates = graph.outgoing(here)
-        else:
-            candidates = graph.incoming(here)
-        for triple in candidates:
-            destination = triple.object if spec.direction is Direction.FORWARD else triple.subject
-            if collector is not None:
-                collector.raw_candidates += 1
-                collector.examined.append((triple, spec.direction))
-            reason = None
-            if not graph.is_subproperty_or_equal(triple.predicate, spec.predicate):
+    index = index_of(graph)
+    walker = index.bind(walker)
+    vids = walker.vids
+    specs = index.resolve(grammar, rule)
+    width = len(specs)
+    best: dict = {}  # move -> (rank * width + spec order, far context)
+    for order, spec in enumerate(specs):
+        backward, admissible, admitted, is_steps, not_steps, notever, far_context, far_id = spec
+        required = {vids[p] for p in _reach_back(len(vids), is_steps, "is", far_id)} if is_steps else ()
+        excluded = {vids[p] for p in _reach_back(len(vids), not_steps, "not", far_id)} if not_steps else ()
+        blocked = walker.mask if notever else 0
+        candidates = (index.incoming if backward else index.outgoing)[vids[-1]]
+        if collector is not None:
+            collector.raw_candidates += len(candidates)
+            direction = _DIRECTIONS[backward]
+            collector.examined.extend((index.triples[tid], direction) for tid, _, _ in candidates)
+        for tid, far, pid in candidates:
+            if admissible is not None and not admissible[pid]:
                 reason = "predicate"
-            elif not graph.has_type_or_equal(destination, far.for_resource):
+            elif (rank := admitted.get(far)) is None:
                 reason = "type"
-            elif required and destination not in required:
+            elif required and far not in required:
                 reason = "is"
-            elif destination in excluded:
+            elif far in excluded:
                 reason = "not"
-            elif destination in blocked:
+            elif blocked >> far & 1:
                 reason = "notever"
-            if reason is None:
-                rank = (_specificity(destination, far.for_resource), spec_index)
-                key = (triple, spec.direction)
-                if key not in best or rank < best[key][0]:
-                    best[key] = (rank, spec.far_context)
-            elif collector is not None:
+            else:
+                move = 2 * tid + backward
+                weight = rank * width + order
+                if move not in best or weight < best[move][0]:
+                    best[move] = (weight, far_context)
+                continue
+            if collector is not None:
                 collector.rejections.append(
-                    Rejection(triple, spec.direction, spec.far_context, reason, walker.id)
+                    Rejection(index.triples[tid], _DIRECTIONS[backward], far_context, reason, walker.id)
                 )
-    return frozenset(
-        Transition(triple, direction, context)
-        for (triple, direction), (_, context) in best.items()
+    triples = index.triples
+    return tuple(
+        [Transition(triples[move >> 1], _DIRECTIONS[move & 1], best[move][1]) for move in sorted(best)]
     )
 
 
 # -- path counting ---------------------------------------------------------------
 
 
-def apply_path_count(walker: Walker, step: int) -> Walker:
-    """Append the trail segment ``step`` time-steps back to the recorded path."""
-    position = walker.time_index - step
+def _counted(walker: Walker, step: int) -> PathStep:
+    """The trail segment ``step`` time-steps back, which a pathcount rule records."""
+    position = len(walker.trail) - 1 - step
     if position < 0:
         raise GrammarRuntimeError(
             f"pathcount step {step} reaches before the start of the path at "
             f"time {walker.time_index}",
             context_id=walker.context,
         )
-    return replace(walker, recorded=walker.recorded + (walker.trail[position],))
+    return walker.trail[position]
+
+
+def apply_path_count(walker: Walker, step: int) -> Walker:
+    """Append the trail segment ``step`` time-steps back to the recorded path."""
+    return Walker(
+        walker.id,
+        walker.context,
+        walker.trail,
+        walker.recorded + (_counted(walker, step),),
+        walker.index,
+        walker.vids,
+        walker.mask,
+    )
 
 
 # -- tracing ----------------------------------------------------------------------
@@ -281,7 +466,6 @@ class RunTrace:
     """Instrumentation of one run, for diagnostics and complexity checks."""
 
     generations: list = field(default_factory=list)
-    vertices_visited: set = field(default_factory=set)
     edges_examined: set = field(default_factory=set)
     raw_candidates: int = 0
     walker_ids: set = field(default_factory=set)
@@ -312,54 +496,70 @@ def expand(
 
     Each walker in id order runs its context's rules.  Returns the new
     frontier, the records finished this generation, and the next free
-    walker id.  Successors are created in a fixed order, so ids, and
-    therefore every downstream artifact, do not depend on set iteration
-    order.
+    walker id.  Successors are created in walker order and then in the
+    order ``legal_edges`` returns transitions, so ids, and therefore every
+    downstream artifact, do not depend on set iteration order.
     """
+    index = index_of(graph)
+    steps, far, triple_id = index.steps, index.far, index.triple_id
     sink = _TraceSink() if trace is not None else None
     successors = []
     finished = set()
     emitted = set()
-    for walker in sorted(frontier, key=lambda w: w.id):
+    for walker in sorted(frontier, key=_walker_id):
+        walker = index.bind(walker)
         context = grammar.contexts[walker.context]
+        recorded = walker.recorded
         transitions: tuple = ()
         for rule in context.rules:
             if isinstance(rule, PathCount):
-                walker = apply_path_count(walker, rule.step)
+                # only the successors see the recorded path, so the walker
+                # itself stays as it is for the traverse rule
+                recorded += (_counted(walker, rule.step),)
             elif context.kind is ContextKind.EXIT:
                 raise GrammarRuntimeError(
                     "exit context must not traverse", context_id=context.id
                 )
             else:
-                found = legal_edges(graph, grammar, walker, rule, collector=sink)
-                transitions = tuple(sorted(found, key=Transition.sort_key))
+                transitions = legal_edges(graph, grammar, walker, rule, collector=sink)
         if context.kind is ContextKind.EXIT:
-            finished.add(PathRecord(walker.recorded))
-        emitted.update(transitions)
-        for transition in transitions:
-            forward = transition.direction is Direction.FORWARD
-            destination = transition.triple.object if forward else transition.triple.subject
-            step = PathStep(destination, transition.triple.predicate, transition.direction)
+            finished.add(recorded)
+        if sink is not None:
+            emitted.update(transitions)
+        trail, vids, mask = walker.trail, walker.vids, walker.mask
+        for triple, direction, next_context in transitions:
+            move = 2 * triple_id[triple] + (direction is Direction.BACKWARD)
+            reached = far[move]
             successors.append(
-                Walker(next_id, transition.next_context, walker.trail + (step,), walker.recorded)
+                Walker(
+                    next_id,
+                    next_context,
+                    trail + (steps[move],),
+                    recorded,
+                    index,
+                    vids + (reached,),
+                    mask | 1 << reached,
+                )
             )
             next_id += 1
+    records = frozenset(map(PathRecord, finished))
     if trace is not None:
         trace.raw_candidates += sink.raw_candidates
         trace.edges_examined.update(sink.examined)
-        for walker in successors:
-            trace.vertices_visited.add(walker.vertex)
-            trace.walker_ids.add(walker.id)
+        trace.walker_ids.update(walker.id for walker in successors)
         trace.generations.append(
             GenerationTrace(
                 index=len(trace.generations),
                 frontier_size=len(successors),
-                finished_count=len(finished),
+                finished_count=len(records),
                 emitted=frozenset(emitted),
                 rejections=tuple(sink.rejections),
             )
         )
-    return ExpandResult(tuple(successors), frozenset(finished)), next_id
+    return ExpandResult(tuple(successors), records), next_id
+
+
+_walker_id = attrgetter("id")
 
 
 # -- the path function --------------------------------------------------------------
@@ -404,9 +604,8 @@ def run(
             and record.steps[-1].vertex == sink_vertex
         )
 
-    seed = Walker(0, grammar.entry, (PathStep(source),))
+    seed = index_of(graph).bind(Walker(0, grammar.entry, (PathStep(source),)))
     if trace is not None:
-        trace.vertices_visited.add(source)
         trace.walker_ids.add(seed.id)
     frontier: tuple = (seed,)
     next_id = 1

@@ -2,9 +2,11 @@
 
 The store keeps a directed, edge-labeled multigraph as a set of
 ``<subject, predicate, object>`` triples with four lookup indexes
-(subject, subject+predicate, predicate+object, object).  Graphs are
-immutable after construction, so any number of threads may read one
-concurrently.
+(subject, subject+predicate, predicate+object, object).  A graph's
+triples and indexes never change after construction.  The one slot that
+does, ``engine_index``, is filled by the walker engine on its first run
+over the graph; the fill is idempotent, so any number of threads may
+still share a graph, and at worst two of them build the index twice.
 
 ``rdfs:subClassOf`` / ``rdfs:subPropertyOf`` reachability is precomputed
 at load time.  Subsumption checks run either against that transitive
@@ -14,7 +16,8 @@ closure (the default) or against single direct triples, selectable via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
@@ -39,6 +42,9 @@ class Iri:
     def __post_init__(self):
         if not self.value:
             raise ValidationError("IRI value must be non-empty")
+
+    def __hash__(self):
+        return hash(self.value)
 
     def __repr__(self):
         return f"<{self.value}>"
@@ -75,6 +81,8 @@ RDFS_SUBPROPERTYOF = Iri(RDFS_NS + "subPropertyOf")
 RDFS_RESOURCE = Iri(RDFS_NS + "Resource")
 
 _EMPTY: frozenset = frozenset()
+# predicates whose triples feed the subsumption closures
+_SCHEMA_PREDICATES = frozenset(p.value for p in (RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF))
 
 
 def resource_key(resource: Resource) -> tuple:
@@ -91,12 +99,18 @@ class Triple:
     subject: Resource
     predicate: Resource
     object: Resource
+    # computed once: every index of a graph hashes each triple again
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.subject, Literal):
             raise ValidationError("a literal cannot be the subject of a triple")
         if not isinstance(self.predicate, Iri):
             raise ValidationError("a triple predicate must be an IRI")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def triple_key(triple: Triple) -> tuple:
@@ -131,11 +145,14 @@ def _reachability(direct: dict) -> dict:
 
 
 class Graph:
-    """An immutable, indexed triple set.
+    """An indexed triple set whose triples never change.
 
-    Duplicate triples collapse (set semantics).  All indexes are built once
-    in the constructor; no mutating methods exist, so instances are safe to
-    share between threads.
+    Duplicate triples collapse (set semantics).  All lookup indexes are
+    built once in the constructor and no mutating methods exist.  The
+    engine's integer index (``engine_index``) is filled on first use, by
+    the first run over the graph; filling it is idempotent, so instances
+    stay safe to share between threads (at worst two of them build it
+    twice).
     """
 
     __slots__ = (
@@ -150,6 +167,7 @@ class Graph:
         "_subclass_closure",
         "_type_closure",
         "_vertices",
+        "engine_index",
     )
 
     def __init__(
@@ -166,23 +184,27 @@ class Graph:
         by_subject_predicate: dict = {}
         by_predicate_object: dict = {}
         by_object: dict = {}
-        vertices = set()
+        schema = []
         for t in self._triples:
-            by_subject.setdefault(t.subject, set()).add(t)
-            by_subject_predicate.setdefault((t.subject, t.predicate), set()).add(t)
-            by_predicate_object.setdefault((t.predicate, t.object), set()).add(t)
-            by_object.setdefault(t.object, set()).add(t)
-            vertices.add(t.subject)
-            vertices.add(t.object)
+            s, p, o = t.subject, t.predicate, t.object
+            by_subject.setdefault(s, set()).add(t)
+            by_subject_predicate.setdefault((s, p), set()).add(t)
+            by_predicate_object.setdefault((p, o), set()).add(t)
+            by_object.setdefault(o, set()).add(t)
+            if p.value in _SCHEMA_PREDICATES:
+                schema.append(t)
         self._by_subject = {k: frozenset(v) for k, v in by_subject.items()}
         self._by_subject_predicate = {k: frozenset(v) for k, v in by_subject_predicate.items()}
         self._by_predicate_object = {k: frozenset(v) for k, v in by_predicate_object.items()}
         self._by_object = {k: frozenset(v) for k, v in by_object.items()}
+        # sets built from dicts reuse the hashes the dicts stored
+        vertices = set(by_subject)
+        vertices.update(by_object)
         self._vertices = frozenset(vertices)
 
         subprop: dict = {}
         subclass: dict = {}
-        for t in self._triples:
+        for t in schema:
             if t.predicate == RDFS_SUBPROPERTYOF and isinstance(t.object, Iri):
                 subprop.setdefault(t.subject, set()).add(t.object)
             elif t.predicate == RDFS_SUBCLASSOF:
@@ -191,12 +213,14 @@ class Graph:
         self._subclass_closure = _reachability(subclass)
 
         type_closure: dict = {}
-        for t in self._triples:
+        for t in schema:
             if t.predicate == RDF_TYPE:
                 types = type_closure.setdefault(t.subject, set())
                 types.add(t.object)
                 types.update(self._subclass_closure.get(t.object, _EMPTY))
         self._type_closure = {k: frozenset(v) for k, v in type_closure.items()}
+        # filled by the engine on its first run over this graph
+        self.engine_index = None
 
     # -- basic access -------------------------------------------------------
 
@@ -330,96 +354,123 @@ def _term_text(resource: Resource) -> str:
 # -- parsing -----------------------------------------------------------------
 
 
-class _LineScanner:
-    """Tokenizes one line of the triple format."""
+# The four kinds of term token.  A word is everything up to the next space
+# or tab, dots included.
+_IRI = r"<[^>]*>"
+_BLANK = r"_:[\w-]+"
+_LITERAL_BODY = r'(?:[^"\\]|\\[\\"nrt])*'
+_LITERAL = rf'"{_LITERAL_BODY}"'
+_WORD = r'(?!_:)[^ \t<".][^ \t]*'
+# One token after spaces and tabs; ``typed`` marks a literal's ``^^``,
+# whose datatype is the token after it.  A position where no token
+# matches holds a malformed IRI, blank node or literal, which
+# ``_token_error`` names.
+_TOKEN = re.compile(
+    rf"[ \t]*(?:(?P<iri>{_IRI})|(?P<blank>{_BLANK})|(?P<literal>{_LITERAL})(?P<typed>\^\^)?"
+    rf"|(?P<dot>\.)|(?P<word>{_WORD}))"
+)
+# A plain statement: an IRI, word or blank subject, an IRI or word
+# predicate, any object, each followed by spaces or tabs, then the final
+# dot.  Each term is then a whole token, read as ``_token`` reads it.
+_PLAIN = re.compile(
+    rf"({_IRI}|{_WORD}|{_BLANK})[ \t]+({_IRI}|{_WORD})[ \t]+"
+    rf"({_IRI}|{_WORD}|{_BLANK}|{_LITERAL}(?:\^\^(?:{_IRI}|{_WORD}))?)[ \t]+\."
+)
+_SPACE = re.compile(r"[ \t]*")
+_ESCAPE = re.compile(r"\\(.)")
+_LITERAL_PREFIX = re.compile(_LITERAL_BODY)
 
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, line=self.line_no, column=self.pos + 1)
+def _token(text: str, pos: int, line_no: int) -> tuple:
+    """The token at ``pos``: (kind, value, end), kind in iri|blank|literal|word|dot.
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    A literal's value is (lexical form, datatype token or None), the
+    datatype token being (kind, value).
+    """
+    m = _TOKEN.match(text, pos)
+    if m is None:
+        raise _token_error(text, pos, line_no)
+    kind = m.lastgroup
+    token = m.group(kind)
+    if kind == "iri":
+        return kind, token[1:-1], m.end()
+    if kind == "blank":
+        return kind, token[2:], m.end()
+    if kind == "literal" or kind == "typed":
+        lexical = m.group("literal")[1:-1]
+        if "\\" in lexical:
+            lexical = _ESCAPE.sub(lambda e: _UNESCAPES[e.group(1)], lexical)
+        end = m.end()
+        datatype = None
+        if kind == "typed":
+            dkind, dvalue, end = _token(text, end, line_no)
+            if dkind not in ("iri", "word"):
+                raise ParseError("expected datatype IRI after ^^", line=line_no, column=end + 1)
+            datatype = (dkind, dvalue)
+        return "literal", (lexical, datatype), end
+    return kind, token, m.end()
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
 
-    def next_token(self):
-        """Returns (kind, value) with kind in iri|blank|literal|word|dot."""
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise self.error("unexpected end of line")
-        c = self.text[self.pos]
+def _token_error(text: str, pos: int, line_no: int) -> ParseError:
+    """Why no token starts at ``pos``."""
+    pos = _SPACE.match(text, pos).end()
+    message = "unexpected end of line"
+    if pos < len(text):
+        c = text[pos]
         if c == "<":
-            end = self.text.find(">", self.pos + 1)
-            if end < 0:
-                raise self.error("unterminated IRI")
-            value = self.text[self.pos + 1 : end]
-            self.pos = end + 1
-            return ("iri", value)
-        if c == "_" and self.text[self.pos : self.pos + 2] == "_:":
-            start = self.pos + 2
-            end = start
-            while end < len(self.text) and (self.text[end].isalnum() or self.text[end] in "_-"):
-                end += 1
-            if end == start:
-                raise self.error("empty blank node label")
-            value = self.text[start:end]
-            self.pos = end
-            return ("blank", value)
-        if c == '"':
-            chars = []
-            i = self.pos + 1
-            while i < len(self.text):
-                ch = self.text[i]
-                if ch == "\\":
-                    if i + 1 >= len(self.text):
-                        raise self.error("dangling escape in literal")
-                    esc = self.text[i + 1]
-                    if esc not in _UNESCAPES:
-                        raise self.error(f"unknown escape \\{esc}")
-                    chars.append(_UNESCAPES[esc])
-                    i += 2
-                    continue
-                if ch == '"':
-                    break
-                chars.append(ch)
-                i += 1
+            message = "unterminated IRI"
+        elif c == "_":
+            message = "empty blank node label"
+        else:  # a literal whose body stops short of its closing quote
+            end = _LITERAL_PREFIX.match(text, pos + 1).end()
+            if end >= len(text):
+                message = "unterminated literal"
+            elif end + 1 >= len(text):
+                message = "dangling escape in literal"
             else:
-                raise self.error("unterminated literal")
-            self.pos = i + 1
-            datatype = None
-            if self.text[self.pos : self.pos + 2] == "^^":
-                self.pos += 2
-                kind, value = self.next_token()
-                if kind not in ("iri", "word"):
-                    raise self.error("expected datatype IRI after ^^")
-                datatype = (kind, value)
-            return ("literal", ("".join(chars), datatype))
-        if c == ".":
-            self.pos += 1
-            return ("dot", ".")
-        start = self.pos
-        end = start
-        while end < len(self.text) and self.text[end] not in " \t":
-            end += 1
-        self.pos = end
-        return ("word", self.text[start:end])
+                message = f"unknown escape \\{text[end + 1]}"
+    return ParseError(message, line=line_no, column=pos + 1)
 
 
-def _expand(raw: str, prefix_map: dict, scanner: _LineScanner, bracketed: bool) -> str:
-    """Resolve a possibly prefixed name to a full IRI string."""
+def _expand(raw: str, prefix_map: dict, bracketed: bool, line_no: int, end: int) -> str:
+    """Resolve a possibly prefixed name, read up to column ``end``, to a full IRI string."""
     head, sep, local = raw.partition(":")
     if sep and head in prefix_map:
         return prefix_map[head] + local
     if bracketed:
         return raw
-    raise scanner.error(f"unknown prefix {head!r} in {raw!r}")
+    raise ParseError(f"unknown prefix {head!r} in {raw!r}", line=line_no, column=end + 1)
+
+
+def _term(kind: str, value, prefix_map: dict, line_no: int, end: int) -> Resource:
+    if kind == "iri" or kind == "word":
+        return Iri(_expand(value, prefix_map, kind == "iri", line_no, end))
+    if kind == "blank":
+        return Blank(value)
+    lexical, datatype = value
+    if datatype is None:
+        return Literal(lexical)
+    dkind, dvalue = datatype
+    return Literal(lexical, _expand(dvalue, prefix_map, dkind == "iri", line_no, end))
+
+
+def _prefix_declaration(line: str, line_no: int) -> tuple:
+    """(name, namespace) of a ``@prefix name: <ns> .`` line."""
+    kind, name, end = _token(line, len("@prefix"), line_no)
+    if kind != "word" or not name.endswith(":"):
+        raise ParseError("@prefix expects a name ending in ':'", line=line_no, column=end + 1)
+    kind, namespace, end = _token(line, end, line_no)
+    if kind != "iri":
+        raise ParseError("@prefix expects a <namespace>", line=line_no, column=end + 1)
+    rest = _SPACE.match(line, end).end()
+    if rest < len(line):
+        kind, _, end = _token(line, end, line_no)
+        if kind != "dot":
+            raise ParseError("unexpected text after @prefix declaration", line=line_no, column=end + 1)
+        rest = _SPACE.match(line, end).end()
+        if rest < len(line):
+            raise ParseError("unexpected text after @prefix declaration", line=line_no, column=rest + 1)
+    return name[:-1], namespace
 
 
 def load_ntriples(
@@ -434,57 +485,55 @@ def load_ntriples(
     prefixed name using a previously declared prefix.  Prefixed names inside
     angle brackets are expanded too, so ``<lanl:johan>`` works after a
     ``@prefix lanl:`` declaration.
+
+    A plain statement (three whole terms and a final dot, each after spaces
+    or tabs) is split by one regular expression; any other line is read
+    token by token, which also names the fault of a malformed one.  A
+    term's text is parsed once: later occurrences reuse the same term
+    object until the next ``@prefix`` line, which may redeclare a prefix.
     """
     prefix_map: dict = {}
+    terms: dict = {}  # token text -> term
     triples = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        scanner = _LineScanner(line, line_no)
         if line.startswith("@prefix"):
-            scanner.pos = len("@prefix")
-            kind, value = scanner.next_token()
-            if kind != "word" or not value.endswith(":"):
-                raise scanner.error("@prefix expects a name ending in ':'")
-            name = value[:-1]
-            kind, ns = scanner.next_token()
-            if kind != "iri":
-                raise scanner.error("@prefix expects a <namespace>")
-            if not scanner.at_end():
-                kind, _ = scanner.next_token()
-                if kind != "dot" or not scanner.at_end():
-                    raise scanner.error("unexpected text after @prefix declaration")
-            prefix_map[name] = ns
+            name, namespace = _prefix_declaration(line, line_no)
+            prefix_map[name] = namespace
+            terms.clear()
             continue
 
-        terms = []
-        for position in ("subject", "predicate", "object"):
-            kind, value = scanner.next_token()
-            if kind == "iri":
-                terms.append(Iri(_expand(value, prefix_map, scanner, bracketed=True)))
-            elif kind == "word":
-                terms.append(Iri(_expand(value, prefix_map, scanner, bracketed=False)))
-            elif kind == "blank":
-                terms.append(Blank(value))
-            elif kind == "literal":
-                lexical, datatype = value
-                if datatype is None:
-                    terms.append(Literal(lexical))
-                else:
-                    dkind, dvalue = datatype
-                    terms.append(
-                        Literal(lexical, _expand(dvalue, prefix_map, scanner, dkind == "iri"))
-                    )
-            else:
-                raise scanner.error(f"unexpected '.' while reading {position}")
-        kind, _ = scanner.next_token()
-        if kind != "dot":
-            raise scanner.error("statement must end with '.'")
-        if not scanner.at_end():
-            raise scanner.error("unexpected text after '.'")
+        parsed = []
+        plain = _PLAIN.fullmatch(line)
+        if plain is not None:
+            for group, token in enumerate(plain.groups(), start=1):
+                term = terms.get(token)
+                if term is None:
+                    kind, value, end = _token(line, plain.start(group), line_no)
+                    term = terms[token] = _term(kind, value, prefix_map, line_no, end)
+                parsed.append(term)
+        else:
+            pos = 0
+            for position in ("subject", "predicate", "object"):
+                kind, value, end = _token(line, pos, line_no)
+                if kind == "dot":
+                    raise ParseError(f"unexpected '.' while reading {position}", line=line_no, column=end + 1)
+                token = line[pos:end].lstrip(" \t")
+                term = terms.get(token)
+                if term is None:
+                    term = terms[token] = _term(kind, value, prefix_map, line_no, end)
+                parsed.append(term)
+                pos = end
+            kind, _, end = _token(line, pos, line_no)
+            if kind != "dot":
+                raise ParseError("statement must end with '.'", line=line_no, column=end + 1)
+            rest = _SPACE.match(line, end).end()
+            if rest < len(line):
+                raise ParseError("unexpected text after '.'", line=line_no, column=rest + 1)
 
-        subject, predicate, obj = terms
+        subject, predicate, obj = parsed
         if isinstance(subject, Literal):
             raise ValidationError("literal in subject position", line=line_no)
         if not isinstance(predicate, Iri):
