@@ -277,10 +277,10 @@ class Walker:
 
     id: int
     context: str
-    trail: tuple
-    recorded: tuple = ()
+    trail: tuple[PathStep, ...]
+    recorded: tuple[PathStep, ...] = ()
     index: Optional[GraphIndex] = None
-    vids: tuple = ()
+    vids: tuple[int, ...] = ()
     mask: int = 0
 
     @property
@@ -316,13 +316,15 @@ def _reach_back(length: int, steps: Iterable, kind: str, context_id: str) -> lis
 def is_set(walker: Walker, attrs: Iterable, context_id: str = "?") -> frozenset:
     """Vertices the next context must resolve to; empty means unconstrained."""
     steps = [a.step for a in attrs if isinstance(a, Is)]
-    return frozenset(walker.trail[p].vertex for p in _reach_back(len(walker.trail), steps, "is", context_id))
+    positions = _reach_back(len(walker.trail), steps, "is", context_id)
+    return frozenset(walker.trail[p].vertex for p in positions)
 
 
 def not_set(walker: Walker, attrs: Iterable, context_id: str = "?") -> frozenset:
     """Vertices the next context must not resolve to."""
     steps = [a.step for a in attrs if isinstance(a, Not)]
-    return frozenset(walker.trail[p].vertex for p in _reach_back(len(walker.trail), steps, "not", context_id))
+    positions = _reach_back(len(walker.trail), steps, "not", context_id)
+    return frozenset(walker.trail[p].vertex for p in positions)
 
 
 # -- legal edge computation ------------------------------------------------------

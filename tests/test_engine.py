@@ -504,3 +504,37 @@ def test_legal_edges_from_a_vertex_outside_the_graph_is_empty(social_graph, rese
     walker = Walker(0, "johan_0", (step("ghost"),))
     rule = researcher_grammar.entry_context.traverse_rule
     assert legal_edges(social_graph, researcher_grammar, walker, rule) == ()
+
+
+def test_threads_sharing_a_fresh_graph_get_the_single_threaded_answers():
+    # the engine fills a graph's index and caches on first use; threads that
+    # race to fill them must still each get the answer of a lone run
+    import sys
+    import threading
+
+    from geograms.grammar import unconstrained_grammar
+
+    rng = random.Random(7)
+    edges = random_single_predicate_graph(rng, 12, 24).triples
+    vertices = sorted({x.subject for x in edges} | {x.object for x in edges}, key=lambda r: r.value)
+    pairs = [tuple(rng.sample(vertices, 2)) for _ in range(8)]
+    alone = {pair: run(Graph(edges), unconstrained_grammar(*pair), RunMode.ALL_PATHS, 50) for pair in pairs}
+
+    shared = Graph(edges)
+    found = {}
+
+    def worker(pair):
+        found[pair] = run(shared, unconstrained_grammar(*pair), RunMode.ALL_PATHS, 50)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(pair,)) for pair in pairs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == alone
