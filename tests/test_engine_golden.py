@@ -120,12 +120,20 @@ def cases():
         yield graph, grammar, mode
 
 
+def _name(resource) -> str:
+    return resource.value.rpartition("#")[2]
+
+
 def _triple(triple) -> str:
-    return f"{triple.subject!r} {triple.predicate!r} {triple.object!r}"
+    return " ".join(_name(term) for term in (triple.subject, triple.predicate, triple.object))
 
 
 def observe(graph, grammar, mode) -> dict:
-    """The records and the trace of one run, as sorted JSON-ready lists."""
+    """The records and the trace of one run, as sorted JSON-ready lists.
+
+    Resources are written by their local names, which are unique in these
+    graphs; a transition or rejection is one space-separated string.
+    """
     trace = RunTrace()
     try:
         records = run(graph, grammar, mode, 300, trace=trace)
@@ -135,9 +143,9 @@ def observe(graph, grammar, mode) -> dict:
         {
             "frontier_size": g.frontier_size,
             "finished_count": g.finished_count,
-            "emitted": sorted([_triple(e.triple), e.direction.value, e.next_context] for e in g.emitted),
+            "emitted": sorted(f"{_triple(e.triple)} {e.direction.value} {e.next_context}" for e in g.emitted),
             "rejections": sorted(
-                [_triple(r.triple), r.direction.value, r.far_context, r.reason, r.walker_id]
+                f"{_triple(r.triple)} {r.direction.value} {r.far_context} {r.reason} {r.walker_id}"
                 for r in g.rejections
             ),
         }
@@ -146,7 +154,7 @@ def observe(graph, grammar, mode) -> dict:
     return {
         "mode": mode.value,
         "subsumption": graph.subsumption.value,
-        "records": [r.to_text() for r in sorted(records, key=PathRecord.key)],
+        "records": [r.to_text(_name) for r in sorted(records, key=PathRecord.key)],
         "generations": generations,
         "raw_candidates": trace.raw_candidates,
         "transitions_examined": trace.transitions_examined,
@@ -177,7 +185,7 @@ def test_golden_cases_cover_the_attributes(golden):
     # the table exercises what it claims to: records in both subsumption
     # modes, every rejection reason, and the runtime error
     reasons = {
-        rejection[3]
+        rejection.split()[5]
         for case in golden
         for generation in case.get("generations", ())
         for rejection in generation["rejections"]
