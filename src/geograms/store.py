@@ -486,9 +486,9 @@ def load_ntriples(
     angle brackets are expanded too, so ``<lanl:johan>`` works after a
     ``@prefix lanl:`` declaration.
 
-    A plain statement (three whole terms and a final dot, each after spaces
-    or tabs) is split by one regular expression; any other line is read
-    token by token, which also names the fault of a malformed one.  A
+    A plain statement (three whole terms, each followed by spaces or tabs,
+    then the final dot) is split by one regular expression; any other line
+    is read token by token, which also names the fault of a malformed one.  A
     term's text is parsed once: later occurrences reuse the same term
     object until the next ``@prefix`` line, which may redeclare a prefix.
     """
