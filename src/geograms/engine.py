@@ -10,12 +10,11 @@ its rules and retire their recorded path into the result set.
 
 Walkers step on integer ids.  The first run over a graph fills the
 graph's ``GraphIndex``: dense vertex and triple ids, and per vertex the
-triples leaving and entering it.  A walker keeps its trail's vertex ids
-and a bitmask of the vertices it has visited, so the checks
-``legal_edges`` makes per candidate edge are list lookups and bit tests
-on ints.  ``Triple``s, ``Transition``s and ``PathRecord``s are built only
-for what a step returns, what a run returns, and what a ``RunTrace``
-records.
+triples leaving and entering it.  A walker the engine builds keeps its
+trail's vertex ids, so the checks ``legal_edges`` makes per candidate
+edge are list and set lookups on ints.  ``Triple``s, ``Transition``s and
+``PathRecord``s are built only for what a step returns, what a run
+returns, and what a ``RunTrace`` records.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .grammar import (
     PathCount,
     Traverse,
 )
-from .store import RDFS_RESOURCE, Graph, Iri, Resource, Triple, resource_key, triple_key
+from .store import RDFS_RESOURCE, Graph, Iri, Resource, Triple, resource_key
 
 DEFAULT_MAX_STEPS = 1000
 
@@ -107,6 +106,30 @@ class PathRecord:
         return "".join(parts)
 
 
+@dataclass(frozen=True, slots=True)
+class Walker:
+    id: int
+    context: str
+    trail: tuple[PathStep, ...]
+    recorded: tuple[PathStep, ...] = ()
+    # (GraphIndex, the trail's vertex ids on it), set by the engine on the
+    # walkers it builds; derived from ``trail``, so it takes no part in
+    # equality, and ``dataclasses.replace`` leaves it empty
+    _bound: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    @property
+    def time_index(self) -> int:
+        return len(self.trail) - 1
+
+    @property
+    def vertex(self) -> Resource:
+        return self.trail[-1].vertex
+
+
+# sets the ``_bound`` field of a walker the engine has just built
+_set = object.__setattr__
+
+
 class Transition(NamedTuple):
     triple: Triple
     direction: Direction
@@ -133,18 +156,20 @@ class GraphIndex:
     promises.  ``outgoing[v]`` and ``incoming[v]`` list ``(triple id, far
     vertex id, predicate id)`` for the triples leaving and entering vertex
     ``v``; both end with one empty list for id -1, which names a vertex the
-    graph does not have.  ``steps[move]`` is the ``PathStep`` a move appends
-    and ``far[move]`` the id of the vertex it reaches.
+    graph does not have.  ``far[move]`` is the id of the vertex a move
+    reaches and ``steps[move]`` the ``PathStep`` it appends, built on first
+    use.
 
     The index also caches, per wanted predicate, which predicate ids it
-    admits, and per wanted resource, which vertex ids it admits with what
-    specificity; both are computed through ``Graph.is_subproperty_or_equal``
+    admits, and per wanted resource, the specificity with which it admits
+    each vertex id; both are computed through ``Graph.is_subproperty_or_equal``
     and ``Graph.has_type_or_equal``, so every subsumption mode stays exact.
     They fill on demand and are shared by every grammar run on the graph.
     """
 
     __slots__ = (
         "graph",
+        "vertices",
         "vertex_id",
         "triples",
         "triple_id",
@@ -160,41 +185,38 @@ class GraphIndex:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        vertices = sorted(graph.vertices(), key=resource_key)
-        self.vertex_id = {v: i for i, v in enumerate(vertices)}
+        self.vertices = vertices = sorted(graph.vertices(), key=resource_key)
+        self.vertex_id = vertex_id = {v: i for i, v in enumerate(vertices)}
         self._predicates = sorted({t.predicate for t in graph.triples}, key=resource_key)
         predicate_id = {p: i for i, p in enumerate(self._predicates)}
-        self.triples = sorted(graph.triples, key=triple_key)
+        # the ids follow resource_key order, so their triples sort as
+        # triple_key sorts; distinct triples never tie on all three
+        rows = sorted(
+            (vertex_id[t.subject], predicate_id[t.predicate], vertex_id[t.object], t) for t in graph.triples
+        )
+        self.triples = [t for _, _, _, t in rows]
         self.triple_id = {t: i for i, t in enumerate(self.triples)}
         outgoing = [[] for _ in range(len(vertices) + 1)]
         incoming = [[] for _ in range(len(vertices) + 1)]
-        self.steps = []
         self.far = []
-        for tid, t in enumerate(self.triples):
-            s, o, p = self.vertex_id[t.subject], self.vertex_id[t.object], predicate_id[t.predicate]
+        for tid, (s, p, o, _) in enumerate(rows):
             outgoing[s].append((tid, o, p))
             incoming[o].append((tid, s, p))
-            self.steps += (
-                PathStep(t.object, t.predicate, Direction.FORWARD),
-                PathStep(t.subject, t.predicate, Direction.BACKWARD),
-            )
             self.far += (o, s)
+        self.steps = _Steps(self.triples)
         self.outgoing = outgoing
         self.incoming = incoming
         self._admissible = {}
         self._admitted = {}
         self._rules = (None, {})
 
-    def bind(self, walker: "Walker") -> "Walker":
-        """``walker`` with its trail's vertex ids and visited mask on this index."""
-        if walker.index is self:
-            return walker
-        vids = tuple(self.vertex_id.get(step.vertex, -1) for step in walker.trail)
-        mask = 0
-        for vid in vids:
-            if vid >= 0:
-                mask |= 1 << vid
-        return Walker(walker.id, walker.context, walker.trail, walker.recorded, self, vids, mask)
+    def vertex_ids(self, walker: Walker) -> tuple:
+        """The ids of ``walker``'s trail vertices, -1 for one the graph does not have."""
+        bound = walker._bound
+        if bound and bound[0] is self:
+            return bound[1]
+        get = self.vertex_id.get
+        return tuple(get(step.vertex, -1) for step in walker.trail)
 
     def admissible(self, wanted: Iri) -> list | None:
         """Per predicate id, whether it is ``wanted`` or below it; None if every one is."""
@@ -205,14 +227,11 @@ class GraphIndex:
             self._admissible[wanted] = found = None if all(found) else found
         return found
 
-    def admitted(self, wanted: Resource) -> dict:
-        """Vertex id -> specificity (0 equal, 1 typed, 2 wildcard) of every vertex ``wanted`` admits."""
+    def admitted(self, wanted: Resource) -> "_Admitted":
+        """Vertex id -> specificity of that vertex for ``wanted``, None where it is not admitted."""
         found = self._admitted.get(wanted)
         if found is None:
-            typed = self.graph.has_type_or_equal
-            found = self._admitted[wanted] = {
-                vid: _specificity(v, wanted) for v, vid in self.vertex_id.items() if typed(v, wanted)
-            }
+            found = self._admitted[wanted] = _Admitted(self, wanted)
         return found
 
     def resolve(self, grammar: Grammar, rule: Traverse) -> tuple:
@@ -243,12 +262,51 @@ class GraphIndex:
         )
 
 
+class _Steps(dict):
+    """Move -> the ``PathStep`` it appends, built on first use."""
+
+    __slots__ = ("triples",)
+
+    def __init__(self, triples: list):
+        self.triples = triples
+
+    def __missing__(self, move: int) -> PathStep:
+        t = self.triples[move >> 1]
+        if move & 1:
+            step = PathStep(t.subject, t.predicate, Direction.BACKWARD)
+        else:
+            step = PathStep(t.object, t.predicate, Direction.FORWARD)
+        self[move] = step
+        return step
+
+
+class _Admitted(dict):
+    """Vertex id -> specificity for one wanted resource, filled on first use.
+
+    The specificity is 0 for the resource itself, 1 for a vertex of its
+    type and 2 for any vertex under the wildcard; None marks a vertex the
+    resource does not admit.
+    """
+
+    __slots__ = ("index", "wanted")
+
+    def __init__(self, index: GraphIndex, wanted: Resource):
+        self.index = index
+        self.wanted = wanted
+
+    def __missing__(self, vid: int) -> int | None:
+        vertex, wanted = self.index.vertices[vid], self.wanted
+        rank = _specificity(vertex, wanted) if self.index.graph.has_type_or_equal(vertex, wanted) else None
+        self[vid] = rank
+        return rank
+
+
 class _Spec(NamedTuple):
     """An edge spec with every check it makes looked up on a ``GraphIndex``."""
 
     backward: bool
     admissible: list | None  # per predicate id, or None when all are
-    admitted: dict  # far vertex id -> specificity
+    admitted: _Admitted
     is_steps: tuple
     not_steps: tuple
     notever: bool
@@ -264,35 +322,11 @@ def index_of(graph: Graph) -> GraphIndex:
     return index
 
 
-@dataclass(slots=True, eq=False)
-class Walker:
-    """A walker: its id, its context, its trail and its recorded path.
-
-    ``trail`` holds every step taken, ``recorded`` the steps pathcount
-    rules picked.  ``vids`` and ``mask`` are the trail's vertex ids and a
-    bitmask of the vertices visited, on the ``GraphIndex`` in ``index``;
-    a walker built from its first four fields gets them from
-    ``GraphIndex.bind`` when the engine first steps it.
-    """
-
-    id: int
-    context: str
-    trail: tuple[PathStep, ...]
-    recorded: tuple[PathStep, ...] = ()
-    index: Optional[GraphIndex] = None
-    vids: tuple[int, ...] = ()
-    mask: int = 0
-
-    @property
-    def time_index(self) -> int:
-        return len(self.trail) - 1
-
-    @property
-    def vertex(self) -> Resource:
-        return self.trail[-1].vertex
-
-
 # -- attribute sets ------------------------------------------------------------
+#
+# The vertices the is/not/notever attributes name.  ``legal_edges`` makes
+# the same checks on vertex ids, resolving positions through the same
+# ``_reach_back``; these give them as resources.
 
 
 def not_ever_set(walker: Walker) -> frozenset:
@@ -381,16 +415,18 @@ def legal_edges(
     walker.
     """
     index = index_of(graph)
-    walker = index.bind(walker)
-    vids = walker.vids
+    vids = index.vertex_ids(walker)
     specs = index.resolve(grammar, rule)
     width = len(specs)
     best: dict = {}  # move -> (rank * width + spec order, far context)
+    visited = None  # the vertex ids of the trail, built for the first notever spec
     for order, spec in enumerate(specs):
         backward, admissible, admitted, is_steps, not_steps, notever, far_context, far_id = spec
         required = {vids[p] for p in _reach_back(len(vids), is_steps, "is", far_id)} if is_steps else ()
         excluded = {vids[p] for p in _reach_back(len(vids), not_steps, "not", far_id)} if not_steps else ()
-        blocked = walker.mask if notever else 0
+        if notever and visited is None:
+            visited = set(vids)
+        blocked = visited if notever else ()
         candidates = (index.incoming if backward else index.outgoing)[vids[-1]]
         if collector is not None:
             collector.raw_candidates += len(candidates)
@@ -399,13 +435,13 @@ def legal_edges(
         for tid, far, pid in candidates:
             if admissible is not None and not admissible[pid]:
                 reason = "predicate"
-            elif (rank := admitted.get(far)) is None:
+            elif (rank := admitted[far]) is None:
                 reason = "type"
             elif required and far not in required:
                 reason = "is"
             elif far in excluded:
                 reason = "not"
-            elif blocked >> far & 1:
+            elif far in blocked:
                 reason = "notever"
             else:
                 move = 2 * tid + backward
@@ -439,16 +475,14 @@ def _counted(walker: Walker, step: int) -> PathStep:
 
 
 def apply_path_count(walker: Walker, step: int) -> Walker:
-    """Append the trail segment ``step`` time-steps back to the recorded path."""
-    return Walker(
-        walker.id,
-        walker.context,
-        walker.trail,
-        walker.recorded + (_counted(walker, step),),
-        walker.index,
-        walker.vids,
-        walker.mask,
-    )
+    """Append the trail segment ``step`` time-steps back to the recorded path.
+
+    ``expand`` records the same segment, through ``_counted``, on the
+    successors it builds rather than on an intermediate walker.
+    """
+    successor = Walker(walker.id, walker.context, walker.trail, walker.recorded + (_counted(walker, step),))
+    _set(successor, "_bound", walker._bound)
+    return successor
 
 
 # -- tracing ----------------------------------------------------------------------
@@ -509,7 +543,6 @@ def expand(
     finished = set()
     emitted = set()
     for walker in sorted(frontier, key=_walker_id):
-        walker = index.bind(walker)
         context = grammar.contexts[walker.context]
         recorded = walker.recorded
         transitions: tuple = ()
@@ -528,21 +561,14 @@ def expand(
             finished.add(recorded)
         if sink is not None:
             emitted.update(transitions)
-        trail, vids, mask = walker.trail, walker.vids, walker.mask
+        if not transitions:
+            continue
+        trail, vids = walker.trail, index.vertex_ids(walker)
         for triple, direction, next_context in transitions:
             move = 2 * triple_id[triple] + (direction is Direction.BACKWARD)
-            reached = far[move]
-            successors.append(
-                Walker(
-                    next_id,
-                    next_context,
-                    trail + (steps[move],),
-                    recorded,
-                    index,
-                    vids + (reached,),
-                    mask | 1 << reached,
-                )
-            )
+            successor = Walker(next_id, next_context, trail + (steps[move],), recorded)
+            _set(successor, "_bound", (index, vids + (far[move],)))
+            successors.append(successor)
             next_id += 1
     records = frozenset(map(PathRecord, finished))
     if trace is not None:
@@ -606,7 +632,7 @@ def run(
             and record.steps[-1].vertex == sink_vertex
         )
 
-    seed = index_of(graph).bind(Walker(0, grammar.entry, (PathStep(source),)))
+    seed = Walker(0, grammar.entry, (PathStep(source),))
     if trace is not None:
         trace.walker_ids.add(seed.id)
     frontier: tuple = (seed,)

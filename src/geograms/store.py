@@ -369,13 +369,6 @@ _TOKEN = re.compile(
     rf"[ \t]*(?:(?P<iri>{_IRI})|(?P<blank>{_BLANK})|(?P<literal>{_LITERAL})(?P<typed>\^\^)?"
     rf"|(?P<dot>\.)|(?P<word>{_WORD}))"
 )
-# A plain statement: an IRI, word or blank subject, an IRI or word
-# predicate, any object, each followed by spaces or tabs, then the final
-# dot.  Each term is then a whole token, read as ``_token`` reads it.
-_PLAIN = re.compile(
-    rf"({_IRI}|{_WORD}|{_BLANK})[ \t]+({_IRI}|{_WORD})[ \t]+"
-    rf"({_IRI}|{_WORD}|{_BLANK}|{_LITERAL}(?:\^\^(?:{_IRI}|{_WORD}))?)[ \t]+\."
-)
 _SPACE = re.compile(r"[ \t]*")
 _ESCAPE = re.compile(r"\\(.)")
 _LITERAL_PREFIX = re.compile(_LITERAL_BODY)
@@ -486,10 +479,7 @@ def load_ntriples(
     angle brackets are expanded too, so ``<lanl:johan>`` works after a
     ``@prefix lanl:`` declaration.
 
-    A plain statement (three whole terms, each followed by spaces or tabs,
-    then the final dot) is split by one regular expression; any other line
-    is read token by token, which also names the fault of a malformed one.  A
-    term's text is parsed once: later occurrences reuse the same term
+    A term's text is parsed once: later occurrences reuse the same term
     object until the next ``@prefix`` line, which may redeclare a prefix.
     """
     prefix_map: dict = {}
@@ -506,32 +496,23 @@ def load_ntriples(
             continue
 
         parsed = []
-        plain = _PLAIN.fullmatch(line)
-        if plain is not None:
-            for group, token in enumerate(plain.groups(), start=1):
-                term = terms.get(token)
-                if term is None:
-                    kind, value, end = _token(line, plain.start(group), line_no)
-                    term = terms[token] = _term(kind, value, prefix_map, line_no, end)
-                parsed.append(term)
-        else:
-            pos = 0
-            for position in ("subject", "predicate", "object"):
-                kind, value, end = _token(line, pos, line_no)
-                if kind == "dot":
-                    raise ParseError(f"unexpected '.' while reading {position}", line=line_no, column=end + 1)
-                token = line[pos:end].lstrip(" \t")
-                term = terms.get(token)
-                if term is None:
-                    term = terms[token] = _term(kind, value, prefix_map, line_no, end)
-                parsed.append(term)
-                pos = end
-            kind, _, end = _token(line, pos, line_no)
-            if kind != "dot":
-                raise ParseError("statement must end with '.'", line=line_no, column=end + 1)
-            rest = _SPACE.match(line, end).end()
-            if rest < len(line):
-                raise ParseError("unexpected text after '.'", line=line_no, column=rest + 1)
+        pos = 0
+        for position in ("subject", "predicate", "object"):
+            kind, value, end = _token(line, pos, line_no)
+            if kind == "dot":
+                raise ParseError(f"unexpected '.' while reading {position}", line=line_no, column=end + 1)
+            token = line[pos:end].lstrip(" \t")
+            term = terms.get(token)
+            if term is None:
+                term = terms[token] = _term(kind, value, prefix_map, line_no, end)
+            parsed.append(term)
+            pos = end
+        kind, _, end = _token(line, pos, line_no)
+        if kind != "dot":
+            raise ParseError("statement must end with '.'", line=line_no, column=end + 1)
+        rest = _SPACE.match(line, end).end()
+        if rest < len(line):
+            raise ParseError("unexpected text after '.'", line=line_no, column=rest + 1)
 
         subject, predicate, obj = parsed
         if isinstance(subject, Literal):

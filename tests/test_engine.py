@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -218,6 +219,33 @@ def test_expand_clones_at_branch(social_graph, researcher_grammar, detour_walker
     for successor in frontier:
         assert successor.trail[:-1] == detour_walker.trail
         assert len(successor.trail) == len(detour_walker.trail) + 1
+
+
+def test_walkers_the_engine_builds_compare_by_their_four_fields(
+    social_graph, researcher_grammar, detour_walker
+):
+    (frontier, _), _ = expand(social_graph, researcher_grammar, [detour_walker], next_id=1)
+    for successor in frontier:
+        fresh = Walker(successor.id, successor.context, successor.trail, successor.recorded)
+        assert successor == fresh and hash(successor) == hash(fresh)
+        assert repr(successor) == repr(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            successor.trail = detour_walker.trail
+
+
+def test_legal_edges_on_a_replaced_walker_follows_its_new_trail(
+    social_graph, researcher_grammar, detour_walker
+):
+    (frontier, _), _ = expand(social_graph, researcher_grammar, [detour_walker], next_id=1)
+    (at_jhw,) = [w for w in frontier if w.vertex == lanl("jhw")]
+    # back at marko after the detour: the Human_3 rule leads on to jhw and
+    # norman, and notever still blocks the friendship back to johan
+    replaced = dataclasses.replace(at_jhw, context="Human_3", trail=detour_walker.trail)
+    fresh = Walker(at_jhw.id, "Human_3", detour_walker.trail, at_jhw.recorded)
+    rule = researcher_grammar.contexts["Human_3"].traverse_rule
+    found = legal_edges(social_graph, researcher_grammar, replaced, rule)
+    assert found == legal_edges(social_graph, researcher_grammar, fresh, rule)
+    assert {t.triple.object for t in found} == {lanl("jhw"), lanl("norman")}
 
 
 def test_expand_empty_frontier(social_graph, researcher_grammar):
