@@ -172,7 +172,10 @@ def _load_grammar(path: str, fmt: str | None, validate: bool = True) -> Grammar:
 
 
 def _resolve_token(token: str, graph: Graph) -> Resource:
-    if token.startswith("<") and token.endswith(">"):
+    # as in load_ntriples, a known prefix is expanded even inside brackets,
+    # and any other bracketed IRI is taken as written
+    bracketed = token.startswith("<") and token.endswith(">")
+    if bracketed:
         token = token[1:-1]
     if token.startswith("_:"):
         return Blank(token[2:])
@@ -181,7 +184,7 @@ def _resolve_token(token: str, graph: Graph) -> Resource:
         return Iri(graph.prefix_map[head] + local)
     if sep and head in BUILTIN_PREFIXES:
         return Iri(BUILTIN_PREFIXES[head] + local)
-    if "://" in token:
+    if (bracketed and token) or "://" in token:
         return Iri(token)
     raise _UsageError(f"cannot resolve resource {token!r}: unknown prefix")
 

@@ -8,13 +8,15 @@ rules in order; a traverse rule with several legal transitions clones the
 walker, one clone per transition.  Walkers reaching the exit context run
 its rules and retire their recorded path into the result set.
 
-Walkers step on integer ids.  The first run over a graph fills the
-graph's ``GraphIndex``: dense vertex and triple ids, and per vertex the
-triples leaving and entering it.  A walker the engine builds keeps its
-trail's vertex ids, so the checks ``legal_edges`` makes per candidate
-edge are list and set lookups on ints.  ``Triple``s, ``Transition``s and
-``PathRecord``s are built only for what a step returns, what a run
-returns, and what a ``RunTrace`` records.
+Walkers step on integer ids.  The first run over a graph gives it a
+``GraphIndex``, which numbers its vertices and predicates.  A vertex's
+moves, read from the graph's own subject and object indexes and put in
+``triple_key`` order, are built when a walker first stands on it, so a run
+pays only for the part of the graph it explores.  A walker the engine
+builds keeps its trail's vertex ids, so the checks ``legal_edges`` makes
+per candidate edge are list, dict and set lookups on ints.  ``Triple``s,
+``Transition``s and ``PathRecord``s are built only for what a step
+returns, what a run returns, and what a ``RunTrace`` records.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .grammar import (
     PathCount,
     Traverse,
 )
-from .store import RDFS_RESOURCE, Graph, Iri, Resource, Triple, resource_key
+from .store import RDFS_RESOURCE, Graph, Iri, Resource, Triple, resource_key, triple_key
 
 DEFAULT_MAX_STEPS = 1000
 
@@ -141,7 +143,8 @@ class RunMode(Enum):
     ALL_PATHS = "all"
 
 
-# a move is 2 * triple id + d: d = 0 follows the triple, d = 1 opposes it
+# a move is 2 * rank + d, where rank is the triple's place in its vertex's
+# triple_key order: d = 0 follows the triple, d = 1 opposes it
 _DIRECTIONS = (Direction.FORWARD, Direction.BACKWARD)
 
 
@@ -149,66 +152,53 @@ _DIRECTIONS = (Direction.FORWARD, Direction.BACKWARD)
 
 
 class GraphIndex:
-    """Dense integer ids for one graph's vertices and triples.
+    """Integer ids for one graph's vertices and predicates, and each vertex's moves.
 
-    Vertex ids follow ``resource_key`` order and triple ids ``triple_key``
-    order, so stepping in id order is stepping in the order the engine
-    promises.  ``outgoing[v]`` and ``incoming[v]`` list ``(triple id, far
-    vertex id, predicate id)`` for the triples leaving and entering vertex
-    ``v``; both end with one empty list for id -1, which names a vertex the
-    graph does not have.  ``far[move]`` is the id of the vertex a move
-    reaches and ``steps[move]`` the ``PathStep`` it appends, built on first
-    use.
+    The ids are fixed when the index is built, in the graph's own set
+    order rather than in ``resource_key`` order; every ordering the engine
+    promises comes from ``triple_key`` instead.  ``moves[v]`` holds the
+    ``_Moves`` of vertex id ``v``, built on its first visit; id -1 names a
+    vertex the graph does not have, and has no moves.
 
-    The index also caches, per wanted predicate, which predicate ids it
+    The index also keeps, per wanted predicate, which predicate ids it
     admits, and per wanted resource, the specificity with which it admits
     each vertex id; both are computed through ``Graph.is_subproperty_or_equal``
     and ``Graph.has_type_or_equal``, so every subsumption mode stays exact.
-    They fill on demand and are shared by every grammar run on the graph.
+    Every table fills on demand and is shared by every grammar run on the
+    graph.  Filling the same entry twice gives equal values, so threads
+    may share one index.
     """
 
-    __slots__ = (
-        "graph",
-        "vertices",
-        "vertex_id",
-        "triples",
-        "triple_id",
-        "outgoing",
-        "incoming",
-        "steps",
-        "far",
-        "_predicates",
-        "_admissible",
-        "_admitted",
-        "_rules",
-    )
+    __slots__ = ("graph", "vertices", "vertex_id", "moves", "_predicates", "_predicate_id", "_memos", "_rules")
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.vertices = vertices = sorted(graph.vertices(), key=resource_key)
-        self.vertex_id = vertex_id = {v: i for i, v in enumerate(vertices)}
-        self._predicates = sorted({t.predicate for t in graph.triples}, key=resource_key)
-        predicate_id = {p: i for i, p in enumerate(self._predicates)}
-        # the ids follow resource_key order, so their triples sort as
-        # triple_key sorts; distinct triples never tie on all three
-        rows = sorted(
-            (vertex_id[t.subject], predicate_id[t.predicate], vertex_id[t.object], t) for t in graph.triples
-        )
-        self.triples = [t for _, _, _, t in rows]
-        self.triple_id = {t: i for i, t in enumerate(self.triples)}
-        outgoing = [[] for _ in range(len(vertices) + 1)]
-        incoming = [[] for _ in range(len(vertices) + 1)]
-        self.far = []
-        for tid, (s, p, o, _) in enumerate(rows):
-            outgoing[s].append((tid, o, p))
-            incoming[o].append((tid, s, p))
-            self.far += (o, s)
-        self.steps = _Steps(self.triples)
-        self.outgoing = outgoing
-        self.incoming = incoming
-        self._admissible = {}
-        self._admitted = {}
+        self.vertices = list(graph.vertices())
+        self.vertex_id = {v: i for i, v in enumerate(self.vertices)}
+        self._predicates = list({t.predicate for t in graph.triples})
+        self._predicate_id = {p: i for i, p in enumerate(self._predicates)}
+        self.moves = _Memo(self._visit)
+        self.moves[-1] = _Moves([], {}, [], [], [])
+        self._memos = {}
         self._rules = (None, {})
+
+    def _visit(self, vid: int) -> "_Moves":
+        """The moves from vertex id ``vid``; ``moves`` calls this on the vertex's first visit."""
+        vertex, graph = self.vertices[vid], self.graph
+        triples = sorted(graph.outgoing(vertex) | graph.incoming(vertex), key=triple_key)
+        found = _Moves(triples, {t: rank for rank, t in enumerate(triples)}, [], [], [None] * (2 * len(triples)))
+        vertex_id, predicate_id = self.vertex_id, self._predicate_id
+        for rank, t in enumerate(triples):
+            pid = predicate_id[t.predicate]
+            if t.subject == vertex:
+                step = PathStep(t.object, t.predicate, Direction.FORWARD)
+                found.by_move[2 * rank] = move = (2 * rank, vertex_id[t.object], pid, step)
+                found.out.append(move)
+            if t.object == vertex:
+                step = PathStep(t.subject, t.predicate, Direction.BACKWARD)
+                found.by_move[2 * rank + 1] = move = (2 * rank + 1, vertex_id[t.subject], pid, step)
+                found.into.append(move)
+        return found
 
     def vertex_ids(self, walker: Walker) -> tuple:
         """The ids of ``walker``'s trail vertices, -1 for one the graph does not have."""
@@ -218,20 +208,27 @@ class GraphIndex:
         get = self.vertex_id.get
         return tuple(get(step.vertex, -1) for step in walker.trail)
 
-    def admissible(self, wanted: Iri) -> list | None:
-        """Per predicate id, whether it is ``wanted`` or below it; None if every one is."""
-        found = self._admissible.get(wanted, False)
-        if found is False:
-            below = self.graph.is_subproperty_or_equal
-            found = [below(p, wanted) for p in self._predicates]
-            self._admissible[wanted] = found = None if all(found) else found
-        return found
+    def admissible(self, wanted: Iri) -> "_Memo | None":
+        """Predicate id -> whether it is ``wanted`` or below it; None under the wildcard."""
+        if wanted == RDFS_RESOURCE:
+            return None
+        below, predicates = self.graph.is_subproperty_or_equal, self._predicates
+        return self._memo(("predicate", wanted), lambda pid: below(predicates[pid], wanted))
 
-    def admitted(self, wanted: Resource) -> "_Admitted":
+    def admitted(self, wanted: Resource) -> "_Memo":
         """Vertex id -> specificity of that vertex for ``wanted``, None where it is not admitted."""
-        found = self._admitted.get(wanted)
+        typed, vertices = self.graph.has_type_or_equal, self.vertices
+
+        def specificity(vid: int) -> int | None:
+            vertex = vertices[vid]
+            return _specificity(vertex, wanted) if typed(vertex, wanted) else None
+
+        return self._memo(("resource", wanted), specificity)
+
+    def _memo(self, key: tuple, check: Callable) -> "_Memo":
+        found = self._memos.get(key)
         if found is None:
-            found = self._admitted[wanted] = _Admitted(self, wanted)
+            found = self._memos[key] = _Memo(check)
         return found
 
     def resolve(self, grammar: Grammar, rule: Traverse) -> tuple:
@@ -262,51 +259,39 @@ class GraphIndex:
         )
 
 
-class _Steps(dict):
-    """Move -> the ``PathStep`` it appends, built on first use."""
+class _Moves(NamedTuple):
+    """The moves from one vertex, over the triples that leave or enter it.
 
-    __slots__ = ("triples",)
-
-    def __init__(self, triples: list):
-        self.triples = triples
-
-    def __missing__(self, move: int) -> PathStep:
-        t = self.triples[move >> 1]
-        if move & 1:
-            step = PathStep(t.subject, t.predicate, Direction.BACKWARD)
-        else:
-            step = PathStep(t.object, t.predicate, Direction.FORWARD)
-        self[move] = step
-        return step
-
-
-class _Admitted(dict):
-    """Vertex id -> specificity for one wanted resource, filled on first use.
-
-    The specificity is 0 for the resource itself, 1 for a vertex of its
-    type and 2 for any vertex under the wildcard; None marks a vertex the
-    resource does not admit.
+    ``out``, ``into`` and ``by_move`` hold one tuple per move: ``(move, far
+    vertex id, predicate id, the PathStep the move appends)``.
     """
 
-    __slots__ = ("index", "wanted")
+    triples: list  # rank -> triple, in triple_key order
+    rank: dict  # triple -> rank
+    out: list  # the moves along the triples leaving the vertex, in move order
+    into: list  # the moves against the triples entering it, in move order
+    by_move: list  # move -> its tuple, None where the vertex has no such move
 
-    def __init__(self, index: GraphIndex, wanted: Resource):
-        self.index = index
-        self.wanted = wanted
 
-    def __missing__(self, vid: int) -> int | None:
-        vertex, wanted = self.index.vertices[vid], self.wanted
-        rank = _specificity(vertex, wanted) if self.index.graph.has_type_or_equal(vertex, wanted) else None
-        self[vid] = rank
-        return rank
+class _Memo(dict):
+    """Key -> what ``check`` answers for it, computed on first lookup."""
+
+    __slots__ = ("check",)
+
+    def __init__(self, check: Callable):
+        self.check = check
+
+    def __missing__(self, key):
+        self[key] = found = self.check(key)
+        return found
 
 
 class _Spec(NamedTuple):
     """An edge spec with every check it makes looked up on a ``GraphIndex``."""
 
     backward: bool
-    admissible: list | None  # per predicate id, or None when all are
-    admitted: _Admitted
+    admissible: _Memo | None  # by predicate id; None under the wildcard, which admits all
+    admitted: _Memo
     is_steps: tuple
     not_steps: tuple
     notever: bool
@@ -416,6 +401,8 @@ def legal_edges(
     """
     index = index_of(graph)
     vids = index.vertex_ids(walker)
+    moves = index.moves[vids[-1]]
+    triples = moves.triples
     specs = index.resolve(grammar, rule)
     width = len(specs)
     best: dict = {}  # move -> (rank * width + spec order, far context)
@@ -427,12 +414,12 @@ def legal_edges(
         if notever and visited is None:
             visited = set(vids)
         blocked = visited if notever else ()
-        candidates = (index.incoming if backward else index.outgoing)[vids[-1]]
+        candidates = moves.into if backward else moves.out
         if collector is not None:
             collector.raw_candidates += len(candidates)
             direction = _DIRECTIONS[backward]
-            collector.examined.extend((index.triples[tid], direction) for tid, _, _ in candidates)
-        for tid, far, pid in candidates:
+            collector.examined.extend((triples[move >> 1], direction) for move, _, _, _ in candidates)
+        for move, far, pid, _ in candidates:
             if admissible is not None and not admissible[pid]:
                 reason = "predicate"
             elif (rank := admitted[far]) is None:
@@ -444,16 +431,14 @@ def legal_edges(
             elif far in blocked:
                 reason = "notever"
             else:
-                move = 2 * tid + backward
                 weight = rank * width + order
                 if move not in best or weight < best[move][0]:
                     best[move] = (weight, far_context)
                 continue
             if collector is not None:
                 collector.rejections.append(
-                    Rejection(index.triples[tid], _DIRECTIONS[backward], far_context, reason, walker.id)
+                    Rejection(triples[move >> 1], _DIRECTIONS[backward], far_context, reason, walker.id)
                 )
-    triples = index.triples
     return tuple(
         [Transition(triples[move >> 1], _DIRECTIONS[move & 1], best[move][1]) for move in sorted(best)]
     )
@@ -537,7 +522,6 @@ def expand(
     downstream artifact, do not depend on set iteration order.
     """
     index = index_of(graph)
-    steps, far, triple_id = index.steps, index.far, index.triple_id
     sink = _TraceSink() if trace is not None else None
     successors = []
     finished = set()
@@ -564,10 +548,11 @@ def expand(
         if not transitions:
             continue
         trail, vids = walker.trail, index.vertex_ids(walker)
+        moves = index.moves[vids[-1]]
         for triple, direction, next_context in transitions:
-            move = 2 * triple_id[triple] + (direction is Direction.BACKWARD)
-            successor = Walker(next_id, next_context, trail + (steps[move],), recorded)
-            _set(successor, "_bound", (index, vids + (far[move],)))
+            _, far, _, step = moves.by_move[2 * moves.rank[triple] + (direction is Direction.BACKWARD)]
+            successor = Walker(next_id, next_context, trail + (step,), recorded)
+            _set(successor, "_bound", (index, vids + (far,)))
             successors.append(successor)
             next_id += 1
     records = frozenset(map(PathRecord, finished))

@@ -5,8 +5,11 @@ The store keeps a directed, edge-labeled multigraph as a set of
 (subject, subject+predicate, predicate+object, object).  A graph's
 triples and indexes never change after construction.  The one slot that
 does, ``engine_index``, is filled by the walker engine on its first run
-over the graph; the fill is idempotent, so any number of threads may
-still share a graph, and at worst two of them build the index twice.
+over the graph: that run numbers the graph's vertices and predicates, and
+each vertex's moves are then built from the subject and object indexes on
+the first visit to that vertex.  Every fill is idempotent, since ids are
+fixed before any vertex is visited, so any number of threads may still
+share a graph; at worst two of them build the same entry twice.
 
 ``rdfs:subClassOf`` / ``rdfs:subPropertyOf`` reachability is precomputed
 at load time.  Subsumption checks run either against that transitive
@@ -150,9 +153,9 @@ class Graph:
     Duplicate triples collapse (set semantics).  All lookup indexes are
     built once in the constructor and no mutating methods exist.  The
     engine's integer index (``engine_index``) is filled on first use, by
-    the first run over the graph; filling it is idempotent, so instances
-    stay safe to share between threads (at worst two of them build it
-    twice).
+    the first run over the graph, and grows a vertex at a time as runs
+    visit vertices; every fill is idempotent, so instances stay safe to
+    share between threads (at worst two of them build an entry twice).
     """
 
     __slots__ = (

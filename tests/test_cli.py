@@ -77,6 +77,27 @@ def test_metric_with_vertex_universe(capsys):
     assert json.loads(out)["value"] == 2
 
 
+def test_bracketed_vertex_without_scheme_slashes_resolves_as_written(capsys, tmp_path):
+    # the loader reads <urn:a> as written, so --vertex must accept it too;
+    # unbracketed, urn: is an unknown prefix to both
+    graph = tmp_path / "urn.nt"
+    graph.write_text("<urn:a> <urn:p> <urn:b> .\n")
+    grammar = tmp_path / "urn.pg"
+    grammar.write_text(
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
+        "context e entry for <urn:a> {\n  pathcount 0\n  traverse out rdfs:Resource -> x\n}\n"
+        "context x exit for <urn:b> {\n  pathcount 0\n}\n"
+    )
+    argv = ["metric", "--graph", str(graph), "--grammar", str(grammar), "--metric", "eccentricity"]
+    universe = ["--vertices", "<urn:a>", "--vertices", "<urn:b>"]
+    code, out, _ = run_cli(capsys, *argv, "--vertex", "<urn:a>", *universe, "--output", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == 1
+    code, _, err = run_cli(capsys, *argv, "--vertex", "urn:a")
+    assert code == 1
+    assert "unknown prefix" in err
+
+
 def test_metric_requires_vertex_for_eccentricity(capsys):
     code, _, err = run_cli(
         capsys,

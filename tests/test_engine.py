@@ -33,7 +33,7 @@ from geograms.grammar import (
 from geograms.store import Graph, Iri, Triple, load_ntriples
 
 from conftest import lanl, read_fixture
-from oracles import random_single_predicate_graph, t
+from oracles import random_grammar, random_multi_predicate_graph, random_single_predicate_graph, t
 
 FWD, BWD = Direction.FORWARD, Direction.BACKWARD
 
@@ -387,7 +387,7 @@ def test_all_notever_records_are_simple(social_graph, any_path_grammar):
         "@prefix lanl: <http://www.lanl.gov#>\n"
         + "\n".join(
             line if "exit for" not in line else line + "\n  notever"
-            for line in open("tests/fixtures/any_path.pg").read().splitlines()
+            for line in read_fixture("any_path.pg").splitlines()
             if not line.startswith("#")
         )
     )
@@ -534,25 +534,32 @@ def test_legal_edges_from_a_vertex_outside_the_graph_is_empty(social_graph, rese
     assert legal_edges(social_graph, researcher_grammar, walker, rule) == ()
 
 
-def test_threads_sharing_a_fresh_graph_get_the_single_threaded_answers():
-    # the engine fills a graph's index and caches on first use; threads that
-    # race to fill them must still each get the answer of a lone run
+def test_a_run_builds_move_lists_only_for_the_vertices_it_reaches():
+    from geograms.grammar import unconstrained_grammar
+
+    graph = Graph(CYCLE_GRAPH.triples)
+    run(graph, unconstrained_grammar(t("a"), t("c")), RunMode.ALL_PATHS, 10)
+    index = graph.engine_index
+    # walkers step from a and b; a step onto c resolves into the exit
+    # context, which never traverses, and x and y are never reached
+    assert {index.vertices[v] for v in index.moves if v != -1} == {t("a"), t("b")}
+
+
+def _race_on_a_fresh_graph(rng, graph, bind):
+    """Run 8 random pairs on one fresh graph from 8 threads at once; each must match a lone run."""
     import sys
     import threading
 
-    from geograms.grammar import unconstrained_grammar
-
-    rng = random.Random(7)
-    edges = random_single_predicate_graph(rng, 12, 24).triples
-    vertices = sorted({x.subject for x in edges} | {x.object for x in edges}, key=lambda r: r.value)
+    edges = graph.triples
+    vertices = sorted(graph.vertices(), key=lambda r: r.value)
     pairs = [tuple(rng.sample(vertices, 2)) for _ in range(8)]
-    alone = {pair: run(Graph(edges), unconstrained_grammar(*pair), RunMode.ALL_PATHS, 50) for pair in pairs}
+    alone = {pair: run(Graph(edges), bind(*pair), RunMode.ALL_PATHS, 50) for pair in pairs}
 
     shared = Graph(edges)
     found = {}
 
     def worker(pair):
-        found[pair] = run(shared, unconstrained_grammar(*pair), RunMode.ALL_PATHS, 50)
+        found[pair] = run(shared, bind(*pair), RunMode.ALL_PATHS, 50)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -566,3 +573,21 @@ def test_threads_sharing_a_fresh_graph_get_the_single_threaded_answers():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert found == alone
+
+
+def test_threads_sharing_a_fresh_graph_get_the_single_threaded_answers():
+    # the engine fills a graph's index, its move lists and its admission
+    # memos on first use; threads that race to fill them must still each
+    # get the answer of a lone run.  Random grammars over several
+    # predicates and classes also race on the predicate and type memos.
+    from functools import partial
+
+    from geograms.grammar import unconstrained_grammar
+
+    rng = random.Random(7)
+    _race_on_a_fresh_graph(rng, random_single_predicate_graph(rng, 12, 24), unconstrained_grammar)
+    # seeds whose grammars name predicates and whose pairs mostly have paths
+    for seed, n_vertices, n_edges in ((6, 8, 24), (7, 8, 24), (3, 10, 30), (6, 10, 30)):
+        rng = random.Random(seed)
+        graph = random_multi_predicate_graph(rng, n_vertices, n_edges)
+        _race_on_a_fresh_graph(rng, graph, partial(rebind_endpoints, random_grammar(rng, graph)))
