@@ -156,9 +156,17 @@ class GraphIndex:
 
     The ids are fixed when the index is built, in the graph's own set
     order rather than in ``resource_key`` order; every ordering the engine
-    promises comes from ``triple_key`` instead.  ``moves[v]`` holds the
-    ``_Moves`` of vertex id ``v``, built on its first visit; id -1 names a
-    vertex the graph does not have, and has no moves.
+    promises comes from ``triple_key`` instead.
+
+    ``moves[v]``, built on the first visit to vertex id ``v``, is a tuple
+    ``(triples, rank, out, into, by_move)``.  ``triples`` lists the triples
+    leaving or entering the vertex in ``triple_key`` order, and ``rank``
+    maps each to its place there.  ``out`` holds a tuple ``(move, far
+    vertex id, predicate id, the PathStep the move appends)`` for every
+    move along a triple leaving the vertex, ``into`` one for every move
+    against a triple entering it, both in move order, and ``by_move`` holds
+    each at index ``move``.  Id -1 names a vertex the graph does not have,
+    which has no moves.
 
     The index also keeps, per wanted predicate, which predicate ids it
     admits, and per wanted resource, the specificity with which it admits
@@ -178,27 +186,27 @@ class GraphIndex:
         self._predicates = list({t.predicate for t in graph.triples})
         self._predicate_id = {p: i for i, p in enumerate(self._predicates)}
         self.moves = _Memo(self._visit)
-        self.moves[-1] = _Moves([], {}, [], [], [])
-        self._memos = {}
+        self.moves[-1] = ([], {}, [], [], [])
+        self._memos = _Memo(self._admission)
         self._rules = (None, {})
 
-    def _visit(self, vid: int) -> "_Moves":
+    def _visit(self, vid: int) -> tuple:
         """The moves from vertex id ``vid``; ``moves`` calls this on the vertex's first visit."""
         vertex, graph = self.vertices[vid], self.graph
         triples = sorted(graph.outgoing(vertex) | graph.incoming(vertex), key=triple_key)
-        found = _Moves(triples, {t: rank for rank, t in enumerate(triples)}, [], [], [None] * (2 * len(triples)))
+        out, into, by_move = [], [], [None] * (2 * len(triples))
         vertex_id, predicate_id = self.vertex_id, self._predicate_id
         for rank, t in enumerate(triples):
             pid = predicate_id[t.predicate]
             if t.subject == vertex:
                 step = PathStep(t.object, t.predicate, Direction.FORWARD)
-                found.by_move[2 * rank] = move = (2 * rank, vertex_id[t.object], pid, step)
-                found.out.append(move)
+                by_move[2 * rank] = move = (2 * rank, vertex_id[t.object], pid, step)
+                out.append(move)
             if t.object == vertex:
                 step = PathStep(t.subject, t.predicate, Direction.BACKWARD)
-                found.by_move[2 * rank + 1] = move = (2 * rank + 1, vertex_id[t.subject], pid, step)
-                found.into.append(move)
-        return found
+                by_move[2 * rank + 1] = move = (2 * rank + 1, vertex_id[t.subject], pid, step)
+                into.append(move)
+        return triples, {t: rank for rank, t in enumerate(triples)}, out, into, by_move
 
     def vertex_ids(self, walker: Walker) -> tuple:
         """The ids of ``walker``'s trail vertices, -1 for one the graph does not have."""
@@ -210,26 +218,25 @@ class GraphIndex:
 
     def admissible(self, wanted: Iri) -> "_Memo | None":
         """Predicate id -> whether it is ``wanted`` or below it; None under the wildcard."""
-        if wanted == RDFS_RESOURCE:
-            return None
-        below, predicates = self.graph.is_subproperty_or_equal, self._predicates
-        return self._memo(("predicate", wanted), lambda pid: below(predicates[pid], wanted))
+        return None if wanted == RDFS_RESOURCE else self._memos["predicate", wanted]
 
     def admitted(self, wanted: Resource) -> "_Memo":
         """Vertex id -> specificity of that vertex for ``wanted``, None where it is not admitted."""
+        return self._memos["resource", wanted]
+
+    def _admission(self, key: tuple) -> "_Memo":
+        """The memo of one admission check; ``_memos`` calls this on the check's first use."""
+        kind, wanted = key
+        if kind == "predicate":
+            below, predicates = self.graph.is_subproperty_or_equal, self._predicates
+            return _Memo(lambda pid: below(predicates[pid], wanted))
         typed, vertices = self.graph.has_type_or_equal, self.vertices
 
         def specificity(vid: int) -> int | None:
             vertex = vertices[vid]
             return _specificity(vertex, wanted) if typed(vertex, wanted) else None
 
-        return self._memo(("resource", wanted), specificity)
-
-    def _memo(self, key: tuple, check: Callable) -> "_Memo":
-        found = self._memos.get(key)
-        if found is None:
-            found = self._memos[key] = _Memo(check)
-        return found
+        return _Memo(specificity)
 
     def resolve(self, grammar: Grammar, rule: Traverse) -> tuple:
         """The ``_Spec`` of every edge spec of ``rule``.
@@ -257,20 +264,6 @@ class GraphIndex:
             spec.far_context,
             far.id,
         )
-
-
-class _Moves(NamedTuple):
-    """The moves from one vertex, over the triples that leave or enter it.
-
-    ``out``, ``into`` and ``by_move`` hold one tuple per move: ``(move, far
-    vertex id, predicate id, the PathStep the move appends)``.
-    """
-
-    triples: list  # rank -> triple, in triple_key order
-    rank: dict  # triple -> rank
-    out: list  # the moves along the triples leaving the vertex, in move order
-    into: list  # the moves against the triples entering it, in move order
-    by_move: list  # move -> its tuple, None where the vertex has no such move
 
 
 class _Memo(dict):
@@ -401,8 +394,7 @@ def legal_edges(
     """
     index = index_of(graph)
     vids = index.vertex_ids(walker)
-    moves = index.moves[vids[-1]]
-    triples = moves.triples
+    triples, _, out, into, _ = index.moves[vids[-1]]
     specs = index.resolve(grammar, rule)
     width = len(specs)
     best: dict = {}  # move -> (rank * width + spec order, far context)
@@ -414,7 +406,7 @@ def legal_edges(
         if notever and visited is None:
             visited = set(vids)
         blocked = visited if notever else ()
-        candidates = moves.into if backward else moves.out
+        candidates = into if backward else out
         if collector is not None:
             collector.raw_candidates += len(candidates)
             direction = _DIRECTIONS[backward]
@@ -548,9 +540,9 @@ def expand(
         if not transitions:
             continue
         trail, vids = walker.trail, index.vertex_ids(walker)
-        moves = index.moves[vids[-1]]
+        _, rank, _, _, by_move = index.moves[vids[-1]]
         for triple, direction, next_context in transitions:
-            _, far, _, step = moves.by_move[2 * moves.rank[triple] + (direction is Direction.BACKWARD)]
+            _, far, _, step = by_move[2 * rank[triple] + (direction is Direction.BACKWARD)]
             successor = Walker(next_id, next_context, trail + (step,), recorded)
             _set(successor, "_bound", (index, vids + (far,)))
             successors.append(successor)
