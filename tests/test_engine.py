@@ -586,7 +586,7 @@ def test_threads_sharing_a_fresh_graph_get_the_single_threaded_answers():
 
     rng = random.Random(7)
     _race_on_a_fresh_graph(rng, random_single_predicate_graph(rng, 12, 24), unconstrained_grammar)
-    # seeds whose grammars name predicates and whose pairs mostly have paths
+    # seeds whose grammars name predicates, and where several pairs have paths
     for seed, n_vertices, n_edges in ((6, 8, 24), (7, 8, 24), (3, 10, 30), (6, 10, 30)):
         rng = random.Random(seed)
         graph = random_multi_predicate_graph(rng, n_vertices, n_edges)
