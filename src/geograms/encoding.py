@@ -8,8 +8,11 @@ single scan.  Once a store holds the paths for every endpoint pair of
 interest, every geodesic metric can be answered from queries alone,
 without ever running a walker again.
 
-A store may hold the results of many endpoint pairs under one grammar
-identifier; queries separate them by their endpoint vertices.
+A store may hold the results of many endpoint pairs under one or more
+grammar identifiers.  The first read for a grammar scans its paths once
+into an endpoint index, (first vertex, last vertex) -> (path node,
+segment count) pairs, cached on the store; every later read for that
+grammar finds a pair's paths by one lookup in it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .store import (
 
 @dataclass(frozen=True)
 class PathVocabulary:
-    """The IRIs used by the path encoding; replaceable in one place."""
+    """The IRIs used by the path encoding, named in one place."""
 
     geodesic_walker: Iri = Iri(RWR_NS + "GeodesicWalker")
     uses_grammar: Iri = Iri(RWR_NS + "usesGrammar")
@@ -57,13 +60,7 @@ _DIRECTION_LITERALS = {Direction.FORWARD: Literal("+"), Direction.BACKWARD: Lite
 _LITERAL_DIRECTIONS = {"+": Direction.FORWARD, "-": Direction.BACKWARD}
 
 
-def encode_paths(
-    records: Iterable,
-    grammar_id: Resource,
-    walker_ids: Sequence[int],
-    namespace: str = RESULT_NS,
-    vocab: PathVocabulary = VOCAB,
-) -> Graph:
+def encode_paths(records: Iterable, grammar_id: Resource, walker_ids: Sequence[int]) -> Graph:
     """Encode path records as triples, one walker/path node pair per record.
 
     Records are paired with ``walker_ids`` in sorted record order, so node
@@ -78,54 +75,53 @@ def encode_paths(
         )
     triples = []
     for record, wid in zip(ordered, walker_ids):
-        walker_node = Iri(f"{namespace}walker_{wid}")
-        path_node = Iri(f"{namespace}path_{wid}")
-        triples.append(Triple(walker_node, RDF_TYPE, vocab.geodesic_walker))
-        triples.append(Triple(walker_node, vocab.uses_grammar, grammar_id))
-        triples.append(Triple(walker_node, vocab.has_qpath, path_node))
-        triples.append(Triple(path_node, RDF_TYPE, vocab.path_type))
+        walker_node = Iri(f"{RESULT_NS}walker_{wid}")
+        path_node = Iri(f"{RESULT_NS}path_{wid}")
+        triples.append(Triple(walker_node, RDF_TYPE, VOCAB.geodesic_walker))
+        triples.append(Triple(walker_node, VOCAB.uses_grammar, grammar_id))
+        triples.append(Triple(walker_node, VOCAB.has_qpath, path_node))
+        triples.append(Triple(path_node, RDF_TYPE, VOCAB.path_type))
         for index, step in enumerate(record.steps, start=1):
-            segment = Iri(f"{namespace}segment_{wid}_{index}")
-            triples.append(Triple(path_node, vocab.membership(index), segment))
-            triples.append(Triple(segment, RDF_TYPE, vocab.segment_type))
-            triples.append(Triple(segment, vocab.has_vertex, step.vertex))
+            segment = Iri(f"{RESULT_NS}segment_{wid}_{index}")
+            triples.append(Triple(path_node, VOCAB.membership(index), segment))
+            triples.append(Triple(segment, RDF_TYPE, VOCAB.segment_type))
+            triples.append(Triple(segment, VOCAB.has_vertex, step.vertex))
             if step.predicate is not None:
-                triples.append(Triple(segment, vocab.has_predicate, step.predicate))
+                triples.append(Triple(segment, VOCAB.has_predicate, step.predicate))
                 triples.append(
-                    Triple(segment, vocab.has_direction, _DIRECTION_LITERALS[step.direction])
+                    Triple(segment, VOCAB.has_direction, _DIRECTION_LITERALS[step.direction])
                 )
-    prefixes = {"rwr": RWR_NS, "rwrx": namespace, "rdf": RDF_NS}
+    prefixes = {"rwr": RWR_NS, "rwrx": RESULT_NS, "rdf": RDF_NS}
     return Graph(triples, prefixes)
 
 
-def _segments_by_index(store: Graph, path_node: Resource, vocab: PathVocabulary) -> dict:
+def _segments(store: Graph, path_node: Resource) -> list:
+    """The path's segment nodes in membership order, checked to run from rdf:_1 without gaps."""
     segments = {}
     for t in store.match((path_node, None, None)):
         index = membership_index(t.predicate)
         if index is not None:
             segments[index] = t.object
-    return segments
+    if sorted(segments) != list(range(1, len(segments) + 1)):
+        raise ValidationError(
+            f"path {path_node!r} memberships must be consecutive from rdf:_1"
+        )
+    return [segments[index] for index in range(1, len(segments) + 1)]
 
 
-def _segment_vertex(store: Graph, segment: Resource, vocab: PathVocabulary) -> Resource:
-    found = store.match((segment, vocab.has_vertex, None))
+def _segment_vertex(store: Graph, segment: Resource) -> Resource:
+    found = store.match((segment, VOCAB.has_vertex, None))
     if len(found) != 1:
         raise ValidationError(f"segment {segment!r} must carry exactly one vertex")
     return next(iter(found)).object
 
 
-def _decode_record(store: Graph, path_node: Resource, vocab: PathVocabulary) -> PathRecord:
-    segments = _segments_by_index(store, path_node, vocab)
-    if sorted(segments) != list(range(1, len(segments) + 1)):
-        raise ValidationError(
-            f"path {path_node!r} memberships must be consecutive from rdf:_1"
-        )
+def _decode_record(store: Graph, path_node: Resource) -> PathRecord:
     steps = []
-    for index in range(1, len(segments) + 1):
-        segment = segments[index]
-        vertex = _segment_vertex(store, segment, vocab)
-        predicates = store.match((segment, vocab.has_predicate, None))
-        directions = store.match((segment, vocab.has_direction, None))
+    for segment in _segments(store, path_node):
+        vertex = _segment_vertex(store, segment)
+        predicates = store.match((segment, VOCAB.has_predicate, None))
+        directions = store.match((segment, VOCAB.has_direction, None))
         if predicates:
             if len(predicates) != 1 or len(directions) != 1:
                 raise ValidationError(
@@ -146,37 +142,48 @@ def _decode_record(store: Graph, path_node: Resource, vocab: PathVocabulary) -> 
     return PathRecord(tuple(steps))
 
 
-def _paths_for_grammar(store: Graph, grammar_id: Optional[Resource], vocab: PathVocabulary):
-    for t in sorted(store.match((None, RDF_TYPE, vocab.geodesic_walker)), key=lambda x: resource_key(x.subject)):
+def _paths_for_grammar(store: Graph, grammar_id: Optional[Resource]):
+    for t in sorted(store.match((None, RDF_TYPE, VOCAB.geodesic_walker)), key=lambda x: resource_key(x.subject)):
         walker = t.subject
-        if grammar_id is not None and not store.match((walker, vocab.uses_grammar, grammar_id)):
+        if grammar_id is not None and not store.match((walker, VOCAB.uses_grammar, grammar_id)):
             continue
-        for qp in store.match((walker, vocab.has_qpath, None)):
+        for qp in store.match((walker, VOCAB.has_qpath, None)):
             yield qp.object
 
 
-def decode_paths(
-    store: Graph,
-    grammar_id: Optional[Resource] = None,
-    vocab: PathVocabulary = VOCAB,
-) -> frozenset:
+def decode_paths(store: Graph, grammar_id: Optional[Resource] = None) -> frozenset:
     """All path records in the store, optionally limited to one grammar."""
     return frozenset(
-        _decode_record(store, path_node, vocab)
-        for path_node in _paths_for_grammar(store, grammar_id, vocab)
+        _decode_record(store, path_node)
+        for path_node in _paths_for_grammar(store, grammar_id)
     )
 
 
 # -- queries -------------------------------------------------------------------
 
 
-def query_X(
-    store: Graph,
-    source: Resource,
-    sink: Resource,
-    grammar_id: Resource,
-    vocab: PathVocabulary = VOCAB,
-) -> frozenset:
+def _endpoint_index(store: Graph, grammar_id: Resource) -> dict:
+    """(first vertex, last vertex) -> frozenset of (path node, segment count).
+
+    Built by one pass over the grammar's stored paths on the first read and
+    cached on the store; a path without segments has no endpoints and is
+    left out.
+    """
+    index = store.endpoint_indexes.get(grammar_id)
+    if index is None:
+        found: dict = {}
+        for path_node in _paths_for_grammar(store, grammar_id):
+            segments = _segments(store, path_node)
+            if segments:
+                ends = (_segment_vertex(store, segments[0]), _segment_vertex(store, segments[-1]))
+                found.setdefault(ends, set()).add((path_node, len(segments)))
+        index = store.endpoint_indexes[grammar_id] = {
+            ends: frozenset(paths) for ends, paths in found.items()
+        }
+    return index
+
+
+def query_X(store: Graph, source: Resource, sink: Resource, grammar_id: Resource) -> frozenset:
     """(path, segment count) for every stored path from source to sink.
 
     A path qualifies when its first segment holds the source vertex and its
@@ -185,17 +192,7 @@ def query_X(
     endpoint pairs: a path that merely passes through the sink on its way
     elsewhere belongs to a different pair.
     """
-    results = set()
-    for path_node in _paths_for_grammar(store, grammar_id, vocab):
-        segments = _segments_by_index(store, path_node, vocab)
-        if not segments or 1 not in segments:
-            continue
-        last = max(segments)
-        if _segment_vertex(store, segments[1], vocab) != source:
-            continue
-        if _segment_vertex(store, segments[last], vocab) == sink:
-            results.add((path_node, last))
-    return frozenset(results)
+    return _endpoint_index(store, grammar_id).get((source, sink), frozenset())
 
 
 def min_segments(pairs: Iterable) -> Optional[int]:
@@ -211,30 +208,18 @@ def ms_shortest_paths(pairs: Iterable) -> frozenset:
     return frozenset(path for path, position in pairs if position == best)
 
 
+def _passes_through(store: Graph, path_node: Resource, vertex: Resource) -> bool:
+    """Whether ``vertex`` is held by a segment of the path before its last."""
+    before_last = _segments(store, path_node)[:-1]
+    return any(_segment_vertex(store, segment) == vertex for segment in before_last)
+
+
 def query_Y(
-    store: Graph,
-    source: Resource,
-    sink: Resource,
-    through: Resource,
-    grammar_id: Resource,
-    vocab: PathVocabulary = VOCAB,
+    store: Graph, source: Resource, sink: Resource, through: Resource, grammar_id: Resource
 ) -> frozenset:
     """Shortest stored source-to-sink paths containing ``through`` before the sink."""
-    shortest = ms_shortest_paths(query_X(store, source, sink, grammar_id, vocab))
-    results = set()
-    for path_node in shortest:
-        segments = _segments_by_index(store, path_node, vocab)
-        through_positions = []
-        sink_positions = []
-        for index, segment in segments.items():
-            vertex = _segment_vertex(store, segment, vocab)
-            if vertex == through:
-                through_positions.append(index)
-            if vertex == sink:
-                sink_positions.append(index)
-        if any(s > t for t in through_positions for s in sink_positions):
-            results.add(path_node)
-    return frozenset(results)
+    shortest = ms_shortest_paths(query_X(store, source, sink, grammar_id))
+    return frozenset(path for path in shortest if _passes_through(store, path, through))
 
 
 # -- metrics from the store ------------------------------------------------------
@@ -242,34 +227,33 @@ def query_Y(
 
 @dataclass(frozen=True)
 class StorePaths:
-    """Path provider answering from an encoded store by query alone."""
+    """Path provider answering from an encoded store's endpoint index."""
 
     store: Graph
     grammar_id: Resource
-    vocab: PathVocabulary = VOCAB
 
-    def _query_x(self, source: Resource, target: Resource) -> frozenset:
-        return query_X(self.store, source, target, self.grammar_id, self.vocab)
+    def _paths(self, source: Resource, target: Resource) -> frozenset:
+        return _endpoint_index(self.store, self.grammar_id).get((source, target), frozenset())
 
     def witnesses(self, source=None, target=None) -> tuple:
         """Decoded tied-shortest records from source to target in key order."""
         if source is None or target is None:
             raise ValueError("shortest-path needs source and target")
-        shortest = ms_shortest_paths(self._query_x(source, target))
-        decoded = (_decode_record(self.store, path, self.vocab) for path in shortest)
+        shortest = ms_shortest_paths(self._paths(source, target))
+        decoded = (_decode_record(self.store, path) for path in shortest)
         return tuple(sorted(decoded, key=PathRecord.key))
 
     def distance(self, source: Resource, target: Resource) -> Optional[int]:
-        found = min_segments(self._query_x(source, target))
+        found = min_segments(self._paths(source, target))
         return None if found is None else found - 1
 
     def through(self, source: Resource, target: Resource, vertex: Resource) -> Optional[tuple]:
         """(tied-shortest paths through ``vertex``, all of them); None if none."""
-        shortest = ms_shortest_paths(self._query_x(source, target))
+        shortest = ms_shortest_paths(self._paths(source, target))
         if not shortest:
             return None
-        through = query_Y(self.store, source, target, vertex, self.grammar_id, self.vocab)
-        return len(through), len(shortest)
+        through = sum(_passes_through(self.store, path, vertex) for path in shortest)
+        return through, len(shortest)
 
 
 def p_encoded_metric(
@@ -279,7 +263,6 @@ def p_encoded_metric(
     vertices: Iterable,
     source: Optional[Resource] = None,
     target: Optional[Resource] = None,
-    vocab: PathVocabulary = VOCAB,
 ) -> MetricResult:
     """Compute a geodesic metric purely from the encoded store.
 
@@ -289,9 +272,9 @@ def p_encoded_metric(
     ones.  ``source`` is the measured vertex, and shortest path also needs
     ``target``.
     """
-    if not store.match((None, vocab.uses_grammar, grammar_id)):
+    if not store.match((None, VOCAB.uses_grammar, grammar_id)):
         raise IncompleteStoreError(
             f"store holds no paths for grammar {grammar_id!r}",
             missing_pairs=[(source, target)] if source or target else [],
         )
-    return fold(kind, StorePaths(store, grammar_id, vocab), vertices, source, target)
+    return fold(kind, StorePaths(store, grammar_id), vertices, source, target)

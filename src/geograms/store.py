@@ -1,15 +1,17 @@
 """In-memory semantic network: triples, pattern matching, subsumption.
 
 The store keeps a directed, edge-labeled multigraph as a set of
-``<subject, predicate, object>`` triples with four lookup indexes
-(subject, subject+predicate, predicate+object, object).  A graph's
-triples and indexes never change after construction.  The one slot that
-does, ``engine_index``, is filled by the walker engine on its first run
-over the graph: that run numbers the graph's vertices and predicates, and
-each vertex's moves are then built from the subject and object indexes on
-the first visit to that vertex.  Every fill is idempotent, since ids are
-fixed before any vertex is visited, so any number of threads may still
-share a graph; at worst two of them build the same entry twice.
+``<subject, predicate, object>`` triples with two lookup indexes, by
+subject and by object.  A graph's triples and indexes never change after
+construction.  Two slots are filled on first use.  ``engine_index`` is
+filled by the walker engine's first run over the graph, which numbers the
+graph's vertices and predicates; each vertex's moves are then built from
+the subject and object indexes on the first visit to that vertex.
+``endpoint_indexes`` gains an entry on ``encoding``'s first read of each
+grammar in an encoded store.  Every fill is idempotent (engine ids are
+fixed before any vertex is visited, and an endpoint index depends only on
+the triples), so any number of threads may still share a graph; at worst
+two of them build the same entry twice.
 
 ``rdfs:subClassOf`` / ``rdfs:subPropertyOf`` reachability is precomputed
 at load time.  Subsumption checks run either against that transitive
@@ -150,12 +152,14 @@ def _reachability(direct: dict) -> dict:
 class Graph:
     """An indexed triple set whose triples never change.
 
-    Duplicate triples collapse (set semantics).  All lookup indexes are
+    Duplicate triples collapse (set semantics).  Both lookup indexes are
     built once in the constructor and no mutating methods exist.  The
     engine's integer index (``engine_index``) is filled on first use, by
     the first run over the graph, and grows a vertex at a time as runs
-    visit vertices; every fill is idempotent, so instances stay safe to
-    share between threads (at worst two of them build an entry twice).
+    visit vertices; ``endpoint_indexes`` gains a grammar's endpoint index
+    on the first store read for that grammar.  Every fill is idempotent,
+    so instances stay safe to share between threads (at worst two of them
+    build an entry twice).
     """
 
     __slots__ = (
@@ -163,14 +167,13 @@ class Graph:
         "prefix_map",
         "subsumption",
         "_by_subject",
-        "_by_subject_predicate",
-        "_by_predicate_object",
         "_by_object",
         "_subproperty_closure",
         "_subclass_closure",
         "_type_closure",
         "_vertices",
         "engine_index",
+        "endpoint_indexes",
     )
 
     def __init__(
@@ -184,21 +187,15 @@ class Graph:
         self.subsumption = SubsumptionMode(subsumption)
 
         by_subject: dict = {}
-        by_subject_predicate: dict = {}
-        by_predicate_object: dict = {}
         by_object: dict = {}
         schema = []
         for t in self._triples:
             s, p, o = t.subject, t.predicate, t.object
             by_subject.setdefault(s, set()).add(t)
-            by_subject_predicate.setdefault((s, p), set()).add(t)
-            by_predicate_object.setdefault((p, o), set()).add(t)
             by_object.setdefault(o, set()).add(t)
             if p.value in _SCHEMA_PREDICATES:
                 schema.append(t)
         self._by_subject = {k: frozenset(v) for k, v in by_subject.items()}
-        self._by_subject_predicate = {k: frozenset(v) for k, v in by_subject_predicate.items()}
-        self._by_predicate_object = {k: frozenset(v) for k, v in by_predicate_object.items()}
         self._by_object = {k: frozenset(v) for k, v in by_object.items()}
         # sets built from dicts reuse the hashes the dicts stored
         vertices = set(by_subject)
@@ -224,6 +221,8 @@ class Graph:
         self._type_closure = {k: frozenset(v) for k, v in type_closure.items()}
         # filled by the engine on its first run over this graph
         self.engine_index = None
+        # grammar id -> endpoint index, filled by encoding's first read of it
+        self.endpoint_indexes = {}
 
     # -- basic access -------------------------------------------------------
 
@@ -257,27 +256,23 @@ class Graph:
         """All triples agreeing with ``pattern`` on every bound position.
 
         ``pattern`` is a ``(subject, predicate, object)`` tuple where ``None``
-        marks an unbound position.  Bound combinations with an index are
-        answered from it; a predicate bound alone falls back to a scan.
+        marks an unbound position.  A bound subject is answered from the
+        subject index, else a bound object from the object index, filtered
+        by whatever else is bound; a predicate bound alone falls back to a
+        scan.
         """
         s, p, o = pattern
-        if s is not None and p is not None:
-            base = self._by_subject_predicate.get((s, p), _EMPTY)
-            if o is None:
-                return base
-            return frozenset(t for t in base if t.object == o)
-        if p is not None and o is not None:
-            return self._by_predicate_object.get((p, o), _EMPTY)
         if s is not None:
             base = self._by_subject.get(s, _EMPTY)
-            if o is None:
-                return base
-            return frozenset(t for t in base if t.object == o)
-        if o is not None:
-            return self._by_object.get(o, _EMPTY)
-        if p is not None:
-            return frozenset(t for t in self._triples if t.predicate == p)
-        return self._triples
+        elif o is not None:
+            base = self._by_object.get(o, _EMPTY)
+        else:
+            base = self._triples
+        if p is None and (s is None or o is None):
+            return base
+        return frozenset(
+            t for t in base if (p is None or t.predicate == p) and (o is None or t.object == o)
+        )
 
     # -- subsumption --------------------------------------------------------
 

@@ -302,8 +302,11 @@ def random_multi_predicate_graph(
     return Graph(triples)
 
 
-def build_pair_store(graph, grammar, universe, grammar_id, max_steps=200):
-    """Encode the full path sets of every ordered endpoint pair into one store."""
+def build_pair_store(graph, grammar, universe, grammar_id, max_steps=200, first_id=0):
+    """Encode the full path sets of every ordered endpoint pair into one store.
+
+    Walker ids count up from ``first_id``; stores to be merged need disjoint ids.
+    """
     from geograms.encoding import encode_paths
     from geograms.engine import PathRecord, RunMode, run
     from geograms.grammar import rebind_endpoints
@@ -319,7 +322,7 @@ def build_pair_store(graph, grammar, universe, grammar_id, max_steps=200):
                         RunMode.ALL_PATHS, max_steps)
                 )
     unique = sorted(records, key=PathRecord.key)
-    return encode_paths(unique, grammar_id, list(range(len(unique))))
+    return encode_paths(unique, grammar_id, list(range(first_id, first_id + len(unique))))
 
 
 def random_grammar(rng: random.Random, graph: Graph, max_intermediates: int = 3) -> Grammar:

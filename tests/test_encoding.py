@@ -4,6 +4,7 @@ import pytest
 
 from geograms.encoding import (
     VOCAB,
+    StorePaths,
     decode_paths,
     encode_paths,
     min_segments,
@@ -108,6 +109,27 @@ def test_decode_rejects_membership_gaps(two_path_store):
         decode_paths(broken)
 
 
+def test_store_reads_reject_membership_gaps():
+    # the last segment of a two-edge path moved from rdf:_3 to rdf:_5
+    store = encode_paths([SHORT_RECORD], GRAMMAR_ID, [0])
+    gapped = Graph(
+        (
+            Triple(tr.subject, VOCAB.membership(5), tr.object)
+            if membership_index(tr.predicate) == 3
+            else tr
+            for tr in store.triples
+        ),
+        store.prefix_map,
+    )
+    with pytest.raises(ValidationError):
+        query_X(gapped, lanl("johan"), lanl("norman"), GRAMMAR_ID)
+    with pytest.raises(ValidationError):
+        p_encoded_metric(
+            MetricKind.ECCENTRICITY, gapped, GRAMMAR_ID, [lanl("johan"), lanl("norman")],
+            source=lanl("johan"),
+        )
+
+
 def test_round_trip_survives_serialization(two_path_store):
     again = load_ntriples(two_path_store.to_ntriples())
     assert decode_paths(again, GRAMMAR_ID) == {SHORT_RECORD, LONG_RECORD}
@@ -174,6 +196,35 @@ def test_query_y_through_equal_to_source(two_path_store):
     assert found == ms_shortest_paths(
         query_X(two_path_store, lanl("johan"), lanl("norman"), GRAMMAR_ID)
     )
+
+
+def test_endpoint_index_is_built_by_the_first_read_and_kept(monkeypatch):
+    store = encode_paths([SHORT_RECORD, LONG_RECORD], GRAMMAR_ID, [0, 1])
+    johan, norman = lanl("johan"), lanl("norman")
+    assert store.endpoint_indexes == {}
+    p_encoded_metric(MetricKind.ECCENTRICITY, store, GRAMMAR_ID, [johan, norman], source=johan)
+    index = store.endpoint_indexes[GRAMMAR_ID]
+    assert index[(johan, norman)] == {
+        (Iri("http://www.lanl.gov/rwrx#path_0"), 4),
+        (Iri("http://www.lanl.gov/rwrx#path_1"), 3),
+    }
+    # later reads look the pair up: only the metric's completeness check matches
+    patterns = []
+    real_match = Graph.match
+    monkeypatch.setattr(Graph, "match", lambda graph, pattern: patterns.append(pattern) or real_match(graph, pattern))
+    assert query_X(store, johan, norman, GRAMMAR_ID) == index[(johan, norman)]
+    p_encoded_metric(MetricKind.ECCENTRICITY, store, GRAMMAR_ID, [johan, norman], source=johan)
+    assert patterns == [(None, VOCAB.uses_grammar, GRAMMAR_ID)]
+    assert store.endpoint_indexes[GRAMMAR_ID] is index
+
+
+def test_through_counts_each_path_node_of_an_equal_record():
+    store = encode_paths([SHORT_RECORD, SHORT_RECORD], GRAMMAR_ID, [0, 1])
+    paths = StorePaths(store, GRAMMAR_ID)
+    johan, norman = lanl("johan"), lanl("norman")
+    assert paths.through(johan, norman, lanl("marko")) == (2, 2)
+    assert paths.through(johan, norman, lanl("jhw")) == (0, 2)
+    assert paths.witnesses(johan, norman) == (SHORT_RECORD, SHORT_RECORD)
 
 
 # -- metrics from the store ------------------------------------------------------------
@@ -248,3 +299,31 @@ def test_min_segments_consistent_with_edge_lengths():
             sink = grammar.exit_context.for_resource
             found = query_X(store, source, sink, GRAMMAR_ID)
             assert min_segments(found) - 1 == min(r.edge_length for r in records)
+
+
+def test_merged_store_answers_each_grammar_as_its_own_store():
+    rng = random.Random(17)
+    other_id = Iri("http://example.org/t#grammar2")
+    graphs = {
+        grammar_id: random_multi_predicate_graph(rng, 6, rng.randint(6, 10), with_schema=False)
+        for grammar_id in (GRAMMAR_ID, other_id)
+    }
+    universe = sorted(graphs[GRAMMAR_ID].vertices() & graphs[other_id].vertices(), key=lambda r: r.value)
+    grammar = unconstrained_grammar(universe[0], universe[1])
+    own = {}
+    first_id = 0
+    for grammar_id, graph in graphs.items():
+        own[grammar_id] = build_pair_store(graph, grammar, universe, grammar_id, first_id=first_id)
+        first_id += len(decode_paths(own[grammar_id]))
+    merged = own[GRAMMAR_ID].merge(own[other_id])
+    answers = {}
+    for grammar_id, store in own.items():
+        for kind in MetricKind:
+            for source in universe[:3]:
+                ends = dict(source=source, target=universe[-1])
+                expected = p_encoded_metric(kind, store, grammar_id, universe, **ends)
+                found = p_encoded_metric(kind, merged, grammar_id, universe, **ends)
+                assert found == expected, (grammar_id, kind, source)
+                answers.setdefault(grammar_id, []).append(found)
+    # the two grammars' stores disagree, so a read mixing them would show
+    assert answers[GRAMMAR_ID] != answers[other_id]
