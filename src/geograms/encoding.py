@@ -272,7 +272,8 @@ def p_encoded_metric(
     ones.  ``source`` is the measured vertex, and shortest path also needs
     ``target``.
     """
-    if not store.match((None, VOCAB.uses_grammar, grammar_id)):
+    # stops at the first walker of the grammar, where a match would collect them all
+    if not any(t.predicate == VOCAB.uses_grammar for t in store.incoming(grammar_id)):
         raise IncompleteStoreError(
             f"store holds no paths for grammar {grammar_id!r}",
             missing_pairs=[(source, target)] if source or target else [],

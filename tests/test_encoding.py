@@ -208,13 +208,13 @@ def test_endpoint_index_is_built_by_the_first_read_and_kept(monkeypatch):
         (Iri("http://www.lanl.gov/rwrx#path_0"), 4),
         (Iri("http://www.lanl.gov/rwrx#path_1"), 3),
     }
-    # later reads look the pair up: only the metric's completeness check matches
+    # later reads look the pair up and make no match calls
     patterns = []
     real_match = Graph.match
     monkeypatch.setattr(Graph, "match", lambda graph, pattern: patterns.append(pattern) or real_match(graph, pattern))
     assert query_X(store, johan, norman, GRAMMAR_ID) == index[(johan, norman)]
     p_encoded_metric(MetricKind.ECCENTRICITY, store, GRAMMAR_ID, [johan, norman], source=johan)
-    assert patterns == [(None, VOCAB.uses_grammar, GRAMMAR_ID)]
+    assert patterns == []
     assert store.endpoint_indexes[GRAMMAR_ID] is index
 
 
