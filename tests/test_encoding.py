@@ -277,6 +277,41 @@ def test_p_encoded_all_kinds_match_direct(projection_store):
         )
 
 
+def test_threads_reading_a_fresh_store_get_the_single_threaded_answers(projection_store):
+    # the first read of a store fills its endpoint index; threads racing to
+    # fill it must each still get the answer of a lone read
+    import sys
+    import threading
+
+    _, _, universe, store = projection_store
+
+    def read(graph, vertex):
+        return p_encoded_metric(MetricKind.BETWEENNESS, graph, GRAMMAR_ID, universe, source=vertex)
+
+    alone = {vertex: read(Graph(store.triples), vertex) for vertex in universe}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            shared = Graph(store.triples)
+            found = {}
+            start = threading.Barrier(len(universe), timeout=60)
+
+            def worker(vertex):
+                start.wait()
+                found[vertex] = read(shared, vertex)
+
+            threads = [threading.Thread(target=worker, args=(vertex,)) for vertex in universe]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert found == alone
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_empty_store_is_incomplete():
     empty = encode_paths([], GRAMMAR_ID, [])
     with pytest.raises(IncompleteStoreError):
