@@ -215,7 +215,11 @@ def _passes_through(store: Graph, path_node: Resource, vertex: Resource) -> bool
 
 
 def query_Y(
-    store: Graph, source: Resource, sink: Resource, through: Resource, grammar_id: Resource
+    store: Graph,
+    source: Resource,
+    sink: Resource,
+    through: Resource,
+    grammar_id: Resource,
 ) -> frozenset:
     """Shortest stored source-to-sink paths containing ``through`` before the sink."""
     shortest = ms_shortest_paths(query_X(store, source, sink, grammar_id))
