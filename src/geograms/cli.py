@@ -189,14 +189,11 @@ def _resolve_token(token: str, graph: Graph) -> Resource:
     raise _UsageError(f"cannot resolve resource {token!r}: unknown prefix")
 
 
-def _universe(args, graph: Graph, grammar: Grammar | None) -> list:
+def _universe(args, graph: Graph, default) -> list:
+    """The ``--vertices`` resources, else those ``default()`` gives, in key order."""
     if args.vertices:
-        return sorted(
-            {_resolve_token(tok, graph) for tok in args.vertices}, key=resource_key
-        )
-    if grammar is not None:
-        return sorted(metrics.default_universe(graph, grammar), key=resource_key)
-    return sorted(metrics.project_to_unlabeled(graph).vertices(), key=resource_key)
+        return sorted({_resolve_token(tok, graph) for tok in args.vertices}, key=resource_key)
+    return sorted(default(), key=resource_key)
 
 
 def _emit(args, payload: dict, text_lines: list) -> None:
@@ -242,7 +239,9 @@ def _cmd_metric(args) -> int:
     if kind in metrics.VERTEX_KINDS and not args.vertex:
         raise _UsageError(f"--metric {kind.value} requires --vertex")
     vertex = _resolve_token(args.vertex, graph) if kind in metrics.VERTEX_KINDS else None
-    universe = () if kind is metrics.MetricKind.SHORTEST_PATH else _universe(args, graph, grammar)
+    universe = ()
+    if kind is not metrics.MetricKind.SHORTEST_PATH:
+        universe = _universe(args, graph, lambda: metrics.default_universe(graph, grammar))
 
     started = time.perf_counter()
     paths = metrics.WalkerPaths(graph, grammar, args.max_steps)
@@ -272,7 +271,7 @@ def _cmd_encode(args) -> int:
 
     records = []
     if args.all_pairs:
-        universe = _universe(args, graph, grammar)
+        universe = _universe(args, graph, lambda: metrics.default_universe(graph, grammar))
         for source in universe:
             for target in universe:
                 if source != target:
@@ -293,7 +292,7 @@ def _cmd_encode(args) -> int:
 def _cmd_oracle_check(args) -> int:
     graph = _load_graph(args)
     projection = metrics.project_to_unlabeled(graph)
-    universe = _universe(args, graph, None)
+    universe = _universe(args, graph, projection.vertices)
 
     mismatches = []
     checked = 0
@@ -356,15 +355,14 @@ def main(argv=None) -> int:
         if "max_steps" in args and args.max_steps is None:
             args.max_steps = _default_max_steps()
         return _COMMANDS[args.command](args)
+    except (OSError, UnicodeDecodeError, GeogramsError) as exc:
+        # an unreadable file is bad data; UnicodeDecodeError is also a
+        # ValueError, so it is caught before the usage errors are
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GeogramsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def console_main() -> None:

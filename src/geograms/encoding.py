@@ -11,8 +11,10 @@ without ever running a walker again.
 A store may hold the results of many endpoint pairs under one or more
 grammar identifiers.  The first read for a grammar scans its paths once
 into an endpoint index, (first vertex, last vertex) -> (path node,
-segment count) pairs, cached on the store; every later read for that
-grammar finds a pair's paths by one lookup in it.
+segment count) pairs, which the store keeps (``Graph.derived``); every
+later read for that grammar finds a pair's paths by one lookup in it.
+``query_X`` and ``query_Y`` are the only reads, and ``StorePaths``
+answers through them.
 """
 
 from __future__ import annotations
@@ -162,25 +164,24 @@ def decode_paths(store: Graph, grammar_id: Optional[Resource] = None) -> frozens
 # -- queries -------------------------------------------------------------------
 
 
-def _endpoint_index(store: Graph, grammar_id: Resource) -> dict:
+def _scan_endpoints(store: Graph, grammar_id: Resource) -> dict:
     """(first vertex, last vertex) -> frozenset of (path node, segment count).
 
-    Built by one pass over the grammar's stored paths on the first read and
-    cached on the store; a path without segments has no endpoints and is
-    left out.
+    One pass over the grammar's stored paths; a path without segments has
+    no endpoints and is left out.
     """
-    index = store.endpoint_indexes.get(grammar_id)
-    if index is None:
-        found: dict = {}
-        for path_node in _paths_for_grammar(store, grammar_id):
-            segments = _segments(store, path_node)
-            if segments:
-                ends = (_segment_vertex(store, segments[0]), _segment_vertex(store, segments[-1]))
-                found.setdefault(ends, set()).add((path_node, len(segments)))
-        index = store.endpoint_indexes[grammar_id] = {
-            ends: frozenset(paths) for ends, paths in found.items()
-        }
-    return index
+    found: dict = {}
+    for path_node in _paths_for_grammar(store, grammar_id):
+        segments = _segments(store, path_node)
+        if segments:
+            ends = (_segment_vertex(store, segments[0]), _segment_vertex(store, segments[-1]))
+            found.setdefault(ends, set()).add((path_node, len(segments)))
+    return {ends: frozenset(paths) for ends, paths in found.items()}
+
+
+def _endpoint_index(store: Graph, grammar_id: Resource) -> dict:
+    """The grammar's endpoint index, scanned by the first read of it and kept on the store."""
+    return store.derived((_scan_endpoints, grammar_id), lambda graph: _scan_endpoints(graph, grammar_id))
 
 
 def query_X(store: Graph, source: Resource, sink: Resource, grammar_id: Resource) -> frozenset:
@@ -208,12 +209,6 @@ def ms_shortest_paths(pairs: Iterable) -> frozenset:
     return frozenset(path for path, position in pairs if position == best)
 
 
-def _passes_through(store: Graph, path_node: Resource, vertex: Resource) -> bool:
-    """Whether ``vertex`` is held by a segment of the path before its last."""
-    before_last = _segments(store, path_node)[:-1]
-    return any(_segment_vertex(store, segment) == vertex for segment in before_last)
-
-
 def query_Y(
     store: Graph,
     source: Resource,
@@ -221,9 +216,13 @@ def query_Y(
     through: Resource,
     grammar_id: Resource,
 ) -> frozenset:
-    """Shortest stored source-to-sink paths containing ``through`` before the sink."""
+    """Shortest stored source-to-sink paths holding ``through`` at a segment before the last."""
     shortest = ms_shortest_paths(query_X(store, source, sink, grammar_id))
-    return frozenset(path for path in shortest if _passes_through(store, path, through))
+    return frozenset(
+        path
+        for path in shortest
+        if any(_segment_vertex(store, segment) == through for segment in _segments(store, path)[:-1])
+    )
 
 
 # -- metrics from the store ------------------------------------------------------
@@ -231,33 +230,29 @@ def query_Y(
 
 @dataclass(frozen=True)
 class StorePaths:
-    """Path provider answering from an encoded store's endpoint index."""
+    """Path provider answering from an encoded store through ``query_X`` and ``query_Y``."""
 
     store: Graph
     grammar_id: Resource
-
-    def _paths(self, source: Resource, target: Resource) -> frozenset:
-        return _endpoint_index(self.store, self.grammar_id).get((source, target), frozenset())
 
     def witnesses(self, source=None, target=None) -> tuple:
         """Decoded tied-shortest records from source to target in key order."""
         if source is None or target is None:
             raise ValueError("shortest-path needs source and target")
-        shortest = ms_shortest_paths(self._paths(source, target))
+        shortest = ms_shortest_paths(query_X(self.store, source, target, self.grammar_id))
         decoded = (_decode_record(self.store, path) for path in shortest)
         return tuple(sorted(decoded, key=PathRecord.key))
 
     def distance(self, source: Resource, target: Resource) -> Optional[int]:
-        found = min_segments(self._paths(source, target))
+        found = min_segments(query_X(self.store, source, target, self.grammar_id))
         return None if found is None else found - 1
 
     def through(self, source: Resource, target: Resource, vertex: Resource) -> Optional[tuple]:
         """(tied-shortest paths through ``vertex``, all of them); None if none."""
-        shortest = ms_shortest_paths(self._paths(source, target))
+        shortest = ms_shortest_paths(query_X(self.store, source, target, self.grammar_id))
         if not shortest:
             return None
-        through = sum(_passes_through(self.store, path, vertex) for path in shortest)
-        return through, len(shortest)
+        return len(query_Y(self.store, source, target, vertex, self.grammar_id)), len(shortest)
 
 
 def p_encoded_metric(

@@ -8,11 +8,12 @@ rules in order; a traverse rule with several legal transitions clones the
 walker, one clone per transition.  Walkers reaching the exit context run
 its rules and retire their recorded path into the result set.
 
-Walkers step on integer ids.  The first run over a graph gives it a
-``GraphIndex``, which numbers its vertices and predicates.  A vertex's
-moves, read from the graph's own subject and object indexes and put in
-``triple_key`` order, are built when a walker first stands on it, so a run
-pays only for the part of the graph it explores.  A walker the engine
+Walkers step on integer ids.  The first run over a graph derives its
+``GraphIndex`` (``Graph.derived``), which numbers its vertices and
+predicates and is shared by every later run.  A vertex's moves, read
+from the graph's own subject and object indexes and put in ``triple_key``
+order, are built when a walker first stands on it, so a run pays only
+for the part of the graph it explores.  A walker the engine
 builds keeps its trail's vertex ids, so the checks ``legal_edges`` makes
 per candidate edge are list, dict and set lookups on ints.  ``Triple``s,
 ``Transition``s and ``PathRecord``s are built only for what a step
@@ -293,11 +294,8 @@ class _Spec(NamedTuple):
 
 
 def index_of(graph: Graph) -> GraphIndex:
-    """The graph's engine index, built on first use and cached on the graph."""
-    index = graph.engine_index
-    if index is None:
-        index = graph.engine_index = GraphIndex(graph)
-    return index
+    """The graph's engine index, one per graph, built by the first run over it."""
+    return graph.derived(GraphIndex, GraphIndex)
 
 
 # -- attribute sets ------------------------------------------------------------

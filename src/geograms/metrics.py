@@ -254,6 +254,15 @@ def project_to_unlabeled(
     return Graph(triples, graph.prefix_map, graph.subsumption)
 
 
+def _adjacency(graph: Graph, schema_namespaces) -> dict:
+    """Vertex -> its neighbors on the undirected unlabeled projection."""
+    adjacency: dict = {}
+    for a, b in projection_edges(graph, schema_namespaces):
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    return adjacency
+
+
 def unlabeled_oracle_geodesics(
     graph: Graph,
     source: Resource,
@@ -263,14 +272,13 @@ def unlabeled_oracle_geodesics(
     """Classic BFS distance on the undirected unlabeled projection.
 
     Reference implementation independent of the walker engine: adjacency
-    lists and a queue, nothing else.  Returns None when unreachable.
+    lists, derived once per graph and namespace tuple, and a queue, nothing
+    else.  Returns None when unreachable.
     """
     if source == target:
         return 0
-    adjacency: dict = {}
-    for a, b in projection_edges(graph, schema_namespaces):
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
+    namespaces = tuple(schema_namespaces)
+    adjacency = graph.derived((_adjacency, namespaces), lambda g: _adjacency(g, namespaces))
     if source not in adjacency or target not in adjacency:
         return None
     seen = {source}

@@ -3,20 +3,16 @@
 The store keeps a directed, edge-labeled multigraph as a set of
 ``<subject, predicate, object>`` triples with two lookup indexes, by
 subject and by object.  A graph's triples and indexes never change after
-construction.  Two slots are filled on first use.  ``engine_index`` is
-filled by the walker engine's first run over the graph, which numbers the
-graph's vertices and predicates; each vertex's moves are then built from
-the subject and object indexes on the first visit to that vertex.
-``endpoint_indexes`` gains an entry on ``encoding``'s first read of each
-grammar in an encoded store.  Every fill is idempotent (engine ids are
-fixed before any vertex is visited, and an endpoint index depends only on
-the triples), so any number of threads may still share a graph; at worst
-two of them build the same entry twice.
+construction.  Anything else computed from them is kept in one memo,
+``Graph.derived``: each entry is built on first use, and threads that
+race on an entry all get the first one stored, so any number of threads
+may share a graph.
 
-``rdfs:subClassOf`` / ``rdfs:subPropertyOf`` reachability is precomputed
-at load time.  Subsumption checks run either against that transitive
-closure (the default) or against single direct triples, selectable via
-``SubsumptionMode`` so both readings of the traversal rules are testable.
+Subsumption checks run either against the transitive closure of
+``rdfs:subClassOf`` / ``rdfs:subPropertyOf`` (the default), built into
+the memo by the first such check, or against single direct triples,
+selectable via ``SubsumptionMode`` so both readings of the traversal
+rules are testable.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ParseError, ValidationError
 
@@ -149,32 +145,36 @@ def _reachability(direct: dict) -> dict:
     return closure
 
 
+def _closures(graph: "Graph") -> tuple:
+    """Per resource, the properties above it and the types it has, through any chain."""
+    schema = [t for t in graph.triples if t.predicate.value in _SCHEMA_PREDICATES]
+    subprop: dict = {}
+    subclass: dict = {}
+    for t in schema:
+        if t.predicate == RDFS_SUBPROPERTYOF and isinstance(t.object, Iri):
+            subprop.setdefault(t.subject, set()).add(t.object)
+        elif t.predicate == RDFS_SUBCLASSOF:
+            subclass.setdefault(t.subject, set()).add(t.object)
+    subclass_closure = _reachability(subclass)
+    type_closure: dict = {}
+    for t in schema:
+        if t.predicate == RDF_TYPE:
+            types = type_closure.setdefault(t.subject, set())
+            types.add(t.object)
+            types.update(subclass_closure.get(t.object, _EMPTY))
+    return _reachability(subprop), {k: frozenset(v) for k, v in type_closure.items()}
+
+
 class Graph:
     """An indexed triple set whose triples never change.
 
     Duplicate triples collapse (set semantics).  Both lookup indexes are
-    built once in the constructor and no mutating methods exist.  The
-    engine's integer index (``engine_index``) is filled on first use, by
-    the first run over the graph, and grows a vertex at a time as runs
-    visit vertices; ``endpoint_indexes`` gains a grammar's endpoint index
-    on the first store read for that grammar.  Every fill is idempotent,
-    so instances stay safe to share between threads (at worst two of them
-    build an entry twice).
+    built once in the constructor and no mutating methods exist; whatever
+    else is computed from the triples goes through ``derived``, so
+    instances stay safe to share between threads.
     """
 
-    __slots__ = (
-        "_triples",
-        "prefix_map",
-        "subsumption",
-        "_by_subject",
-        "_by_object",
-        "_subproperty_closure",
-        "_subclass_closure",
-        "_type_closure",
-        "_vertices",
-        "engine_index",
-        "endpoint_indexes",
-    )
+    __slots__ = ("_triples", "prefix_map", "subsumption", "_by_subject", "_by_object", "_vertices", "_derived")
 
     def __init__(
         self,
@@ -188,41 +188,28 @@ class Graph:
 
         by_subject: dict = {}
         by_object: dict = {}
-        schema = []
         for t in self._triples:
-            s, p, o = t.subject, t.predicate, t.object
-            by_subject.setdefault(s, set()).add(t)
-            by_object.setdefault(o, set()).add(t)
-            if p.value in _SCHEMA_PREDICATES:
-                schema.append(t)
+            by_subject.setdefault(t.subject, set()).add(t)
+            by_object.setdefault(t.object, set()).add(t)
         self._by_subject = {k: frozenset(v) for k, v in by_subject.items()}
         self._by_object = {k: frozenset(v) for k, v in by_object.items()}
         # sets built from dicts reuse the hashes the dicts stored
         vertices = set(by_subject)
         vertices.update(by_object)
         self._vertices = frozenset(vertices)
+        self._derived = {}
 
-        subprop: dict = {}
-        subclass: dict = {}
-        for t in schema:
-            if t.predicate == RDFS_SUBPROPERTYOF and isinstance(t.object, Iri):
-                subprop.setdefault(t.subject, set()).add(t.object)
-            elif t.predicate == RDFS_SUBCLASSOF:
-                subclass.setdefault(t.subject, set()).add(t.object)
-        self._subproperty_closure = _reachability(subprop)
-        self._subclass_closure = _reachability(subclass)
+    def derived(self, key, build: Callable[["Graph"], object]):
+        """What ``build(self)`` returns, built on the first call for ``key`` and kept.
 
-        type_closure: dict = {}
-        for t in schema:
-            if t.predicate == RDF_TYPE:
-                types = type_closure.setdefault(t.subject, set())
-                types.add(t.object)
-                types.update(self._subclass_closure.get(t.object, _EMPTY))
-        self._type_closure = {k: frozenset(v) for k, v in type_closure.items()}
-        # filled by the engine on its first run over this graph
-        self.engine_index = None
-        # grammar id -> endpoint index, filled by encoding's first read of it
-        self.endpoint_indexes = {}
+        ``key`` names what is derived, and must say everything ``build``
+        depends on besides the graph.  Threads that race on a key may each
+        build it, but all of them get the first value stored.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            return self._derived.setdefault(key, build(self))
 
     # -- basic access -------------------------------------------------------
 
@@ -281,7 +268,7 @@ class Graph:
         if predicate == wanted or wanted == RDFS_RESOURCE:
             return True
         if self.subsumption is SubsumptionMode.CLOSURE:
-            return wanted in self._subproperty_closure.get(predicate, _EMPTY)
+            return wanted in self.derived(_closures, _closures)[0].get(predicate, _EMPTY)
         return Triple(predicate, RDFS_SUBPROPERTYOF, wanted) in self._triples
 
     def has_type_or_equal(self, resource: Resource, wanted: Resource) -> bool:
@@ -289,7 +276,7 @@ class Graph:
         if resource == wanted or wanted == RDFS_RESOURCE:
             return True
         if self.subsumption is SubsumptionMode.CLOSURE:
-            return wanted in self._type_closure.get(resource, _EMPTY)
+            return wanted in self.derived(_closures, _closures)[1].get(resource, _EMPTY)
         if isinstance(resource, Literal):
             return False
         return Triple(resource, RDF_TYPE, wanted) in self._triples

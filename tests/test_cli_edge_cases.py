@@ -110,3 +110,74 @@ def test_threaded_aggregate_metric_is_deterministic(capsys):
         payload.pop("wall_time_ms")
         payloads.append(json.dumps(payload))
     assert payloads[0] == payloads[1]
+
+
+# -- unreadable input is a data error (exit 2) ------------------------------------
+
+
+def _assert_data_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_graph_that_is_a_directory_is_a_data_error(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys,
+        "metric", "--graph", str(tmp_path),
+        "--grammar", str(FIXTURES / "researcher_path.pg"), "--metric", "shortest-path",
+    )
+    _assert_data_error(code, err)
+
+
+def test_encode_out_that_is_a_directory_is_a_data_error(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys,
+        "encode", "--graph", str(FIXTURES / "social.nt"),
+        "--grammar", str(FIXTURES / "researcher_path.pg"), "--out", str(tmp_path),
+    )
+    _assert_data_error(code, err)
+
+
+def test_graph_that_is_not_utf8_is_a_data_error(capsys, tmp_path):
+    data = tmp_path / "latin1.nt"
+    data.write_bytes("<http://e/café> <http://e/p> <http://e/o> .\n".encode("latin-1"))
+    code, _, err = run_cli(
+        capsys,
+        "metric", "--graph", str(data),
+        "--grammar", str(FIXTURES / "researcher_path.pg"), "--metric", "shortest-path",
+    )
+    _assert_data_error(code, err)
+    assert "utf-8" in err
+
+
+def test_grammar_that_is_not_utf8_is_a_data_error(capsys, tmp_path):
+    grammar = tmp_path / "latin1.pg"
+    grammar.write_bytes(b"# caf\xe9\n" + (FIXTURES / "researcher_path.pg").read_bytes())
+    code, _, err = run_cli(
+        capsys,
+        "metric", "--graph", str(FIXTURES / "social.nt"),
+        "--grammar", str(grammar), "--metric", "shortest-path",
+    )
+    _assert_data_error(code, err)
+    assert "utf-8" in err
+
+
+def test_oracle_check_projects_the_graph_at_most_twice(capsys, monkeypatch):
+    # once for the projection the walker runs on, once for the oracle's
+    # adjacency; not once per checked pair
+    from geograms import metrics
+
+    calls = []
+    real_projection_edges = metrics.projection_edges
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_projection_edges(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "projection_edges", counting)
+    code, out, _ = run_cli(
+        capsys, "oracle-check", "--graph", str(FIXTURES / "social.nt"), "--output", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["pairs"] > 2
+    assert len(calls) <= 2

@@ -199,11 +199,19 @@ def test_query_y_through_equal_to_source(two_path_store):
 
 
 def test_endpoint_index_is_built_by_the_first_read_and_kept(monkeypatch):
+    import geograms.encoding as encoding
+
+    scans = []
+    real_scan = encoding._scan_endpoints
+    monkeypatch.setattr(
+        encoding, "_scan_endpoints", lambda store, grammar_id: scans.append(grammar_id) or real_scan(store, grammar_id)
+    )
     store = encode_paths([SHORT_RECORD, LONG_RECORD], GRAMMAR_ID, [0, 1])
     johan, norman = lanl("johan"), lanl("norman")
-    assert store.endpoint_indexes == {}
+    assert scans == []
     p_encoded_metric(MetricKind.ECCENTRICITY, store, GRAMMAR_ID, [johan, norman], source=johan)
-    index = store.endpoint_indexes[GRAMMAR_ID]
+    assert scans == [GRAMMAR_ID]
+    index = encoding._endpoint_index(store, GRAMMAR_ID)
     assert index[(johan, norman)] == {
         (Iri("http://www.lanl.gov/rwrx#path_0"), 4),
         (Iri("http://www.lanl.gov/rwrx#path_1"), 3),
@@ -215,7 +223,8 @@ def test_endpoint_index_is_built_by_the_first_read_and_kept(monkeypatch):
     assert query_X(store, johan, norman, GRAMMAR_ID) == index[(johan, norman)]
     p_encoded_metric(MetricKind.ECCENTRICITY, store, GRAMMAR_ID, [johan, norman], source=johan)
     assert patterns == []
-    assert store.endpoint_indexes[GRAMMAR_ID] is index
+    assert scans == [GRAMMAR_ID]
+    assert encoding._endpoint_index(store, GRAMMAR_ID) is index
 
 
 def test_through_counts_each_path_node_of_an_equal_record():

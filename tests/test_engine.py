@@ -4,6 +4,7 @@ import random
 import pytest
 
 from geograms.engine import (
+    GraphIndex,
     PathRecord,
     PathStep,
     RunMode,
@@ -11,6 +12,7 @@ from geograms.engine import (
     Walker,
     apply_path_count,
     expand,
+    index_of,
     is_set,
     legal_edges,
     not_ever_set,
@@ -515,17 +517,32 @@ def test_run_rejects_workers_below_one(social_graph, researcher_grammar, workers
         run(social_graph, researcher_grammar, RunMode.ALL_PATHS, 50, workers=workers)
 
 
-def test_engine_index_is_built_by_the_first_run_and_kept():
+def _count_index_builds(monkeypatch) -> list:
+    """The graphs an engine index is built for from now on, one entry per build."""
+    built = []
+    real_init = GraphIndex.__init__
+
+    def init(self, graph):
+        built.append(graph)
+        real_init(self, graph)
+
+    monkeypatch.setattr(GraphIndex, "__init__", init)
+    return built
+
+
+def test_engine_index_is_built_by_the_first_run_and_kept(monkeypatch):
     # loading builds no index: graphs that are only matched never pay for one
+    built = _count_index_builds(monkeypatch)
     graph = load_ntriples(SUBSUMPTION_DATA)
     grammar_graph = load_ntriples(read_fixture("researcher_path_grammar.nt"))
     load_grammar_from_triples(grammar_graph)
-    assert graph.engine_index is None and grammar_graph.engine_index is None
+    assert built == []
     run(graph, parse_grammar_dsl(SUBSUMPTION_DSL), RunMode.ALL_PATHS, 10)
-    index = graph.engine_index
-    assert index is not None
+    assert len(built) == 1 and built[0] is graph
+    index = index_of(graph)
     run(graph, parse_grammar_dsl(SUBSUMPTION_DSL), RunMode.SHORTEST_ONLY, 10)
-    assert graph.engine_index is index
+    assert len(built) == 1
+    assert index_of(graph) is index
 
 
 def test_legal_edges_from_a_vertex_outside_the_graph_is_empty(social_graph, researcher_grammar):
@@ -534,12 +551,14 @@ def test_legal_edges_from_a_vertex_outside_the_graph_is_empty(social_graph, rese
     assert legal_edges(social_graph, researcher_grammar, walker, rule) == ()
 
 
-def test_a_run_builds_move_lists_only_for_the_vertices_it_reaches():
+def test_a_run_builds_move_lists_only_for_the_vertices_it_reaches(monkeypatch):
     from geograms.grammar import unconstrained_grammar
 
+    built = _count_index_builds(monkeypatch)
     graph = Graph(CYCLE_GRAPH.triples)
     run(graph, unconstrained_grammar(t("a"), t("c")), RunMode.ALL_PATHS, 10)
-    index = graph.engine_index
+    index = index_of(graph)
+    assert len(built) == 1 and built[0] is graph
     # walkers step from a and b; a step onto c resolves into the exit
     # context, which never traverses, and x and y are never reached
     assert {index.vertices[v] for v in index.moves if v != -1} == {t("a"), t("b")}

@@ -234,6 +234,85 @@ def test_has_type_subclass_chain():
     assert not single.has_type_or_equal(lanl("fluffy"), lanl("Animal"))
 
 
+TYPED = (
+    "@prefix lanl: <http://www.lanl.gov#> .\n"
+    "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+    "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+    "lanl:fluffy rdf:type lanl:Dog .\n"
+    "lanl:fluffy lanl:chases lanl:rex .\n"
+    "lanl:rex rdf:type lanl:Dog .\n"
+    "lanl:Dog rdfs:subClassOf lanl:Animal .\n"
+    "lanl:chases rdfs:subPropertyOf lanl:meets .\n"
+)
+
+
+def test_closures_are_built_by_the_first_closure_check_and_never_under_single_hop(monkeypatch):
+    from geograms import store
+    from geograms.engine import RunMode, run
+    from geograms.grammar import parse_grammar_dsl
+
+    built = []
+    real_closures = store._closures
+    monkeypatch.setattr(store, "_closures", lambda graph: built.append(graph) or real_closures(graph))
+    graph = load_ntriples(TYPED)
+    assert built == []
+    assert graph.has_type_or_equal(lanl("fluffy"), lanl("Animal"))
+    assert graph.is_subproperty_or_equal(lanl("chases"), lanl("meets"))
+    assert not graph.has_type_or_equal(lanl("Dog"), lanl("Animal"))
+    assert len(built) == 1 and built[0] is graph
+
+    # the engine checks types and predicates through the same two calls
+    grammar = parse_grammar_dsl(
+        "@prefix lanl: <http://www.lanl.gov#>\n"
+        "context start entry for lanl:fluffy {\n  pathcount 0\n  traverse out lanl:meets -> stop\n}\n"
+        "context stop exit for lanl:rex {\n  pathcount 0\n}\n"
+    )
+    single = load_ntriples(TYPED, subsumption=SubsumptionMode.SINGLE_HOP)
+    assert not single.has_type_or_equal(lanl("fluffy"), lanl("Animal"))
+    assert run(single, grammar, RunMode.ALL_PATHS, 5)
+    assert len(built) == 1
+
+
+def test_threads_racing_on_a_derived_key_all_get_the_first_value_stored():
+    import sys
+    import threading
+
+    graph = Graph()
+    n_threads = 8
+    start = threading.Barrier(n_threads, timeout=60)
+    # every thread misses the memo and builds before any of them stores
+    inside = threading.Barrier(n_threads, timeout=60)
+    builds = []
+    found = [None] * n_threads
+
+    def build(owner):
+        assert owner is graph
+        value = object()
+        builds.append(value)
+        inside.wait()
+        return value
+
+    def worker(i):
+        start.wait()
+        found[i] = graph.derived("slow", build)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == n_threads
+    assert all(value is found[0] for value in found)
+    assert found[0] in builds
+    assert graph.derived("slow", build) is found[0] and len(builds) == n_threads
+
+
 def test_rdfs_resource_matches_everything(social_graph):
     assert social_graph.has_type_or_equal(lanl("johan"), RDFS_RESOURCE)
     assert social_graph.has_type_or_equal(Literal("text"), RDFS_RESOURCE)
