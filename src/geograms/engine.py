@@ -13,11 +13,11 @@ Walkers step on integer ids.  The first run over a graph derives its
 predicates and is shared by every later run.  A vertex's moves, read
 from the graph's own subject and object indexes and put in ``triple_key``
 order, are built when a walker first stands on it, so a run pays only
-for the part of the graph it explores.  A walker the engine
-builds keeps its trail's vertex ids, so the checks ``legal_edges`` makes
-per candidate edge are list, dict and set lookups on ints.  ``Triple``s,
-``Transition``s and ``PathRecord``s are built only for what a step
-returns, what a run returns, and what a ``RunTrace`` records.
+for the part of the graph it explores.  A walker the engine builds keeps
+its trail's vertex ids, so the checks ``legal_edges`` makes per candidate
+edge are list, dict and set lookups on ints.  ``Triple``s, ``Transition``s
+and ``PathRecord``s are built only for what a step returns, what a run
+returns, and what a ``RunTrace`` records.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ class _Spec(NamedTuple):
 
 
 def index_of(graph: Graph) -> GraphIndex:
-    """The graph's engine index, one per graph, built by the first run over it."""
+    """The graph's engine index, one per graph, built on first use."""
     return graph.derived(GraphIndex, GraphIndex)
 
 

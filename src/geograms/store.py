@@ -28,7 +28,7 @@ from .errors import ParseError, ValidationError
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
-# Namespace for resources this package mints (projection edges, encoded paths).
+# Namespace for resources this package mints (projection edges, stored paths).
 RESULT_NS = "http://www.lanl.gov/rwrx#"
 
 XSD_STRING = XSD_NS + "string"
@@ -146,7 +146,11 @@ def _reachability(direct: dict) -> dict:
 
 
 def _closures(graph: "Graph") -> tuple:
-    """Per resource, the properties above it and the types it has, through any chain."""
+    """(subproperty closure, type closure) of the graph's schema triples.
+
+    Per resource, every property it is below, and every type it has
+    directly or through a chain of ``rdfs:subClassOf``.
+    """
     schema = [t for t in graph.triples if t.predicate.value in _SCHEMA_PREDICATES]
     subprop: dict = {}
     subclass: dict = {}
