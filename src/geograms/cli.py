@@ -204,6 +204,14 @@ def _emit(args, payload: dict, text_lines: list) -> None:
             print(line)
 
 
+def _write_store(path: str, records: list, grammar_id: Resource) -> Graph:
+    """Encode ``records`` under walker ids 0, 1, ... and write the store to ``path``."""
+    store = encoding.encode_paths(records, grammar_id, list(range(len(records))))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(store.to_ntriples())
+    return store
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -217,11 +225,7 @@ def _cmd_paths(args) -> int:
     ordered = sorted(records, key=PathRecord.key)
     rendered = [r.to_text(graph.compact) for r in ordered]
     if args.encode_out:
-        store = encoding.encode_paths(
-            ordered, _resolve_token(args.grammar_id, graph), list(range(len(ordered)))
-        )
-        with open(args.encode_out, "w", encoding="utf-8") as handle:
-            handle.write(store.to_ntriples())
+        _write_store(args.encode_out, ordered, _resolve_token(args.grammar_id, graph))
     payload = {
         "count": len(ordered),
         "paths": rendered,
@@ -281,9 +285,7 @@ def _cmd_encode(args) -> int:
         records.extend(run(graph, grammar, RunMode.ALL_PATHS, args.max_steps))
 
     unique = sorted(set(records), key=PathRecord.key)
-    store = encoding.encode_paths(unique, grammar_id, list(range(len(unique))))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(store.to_ntriples())
+    store = _write_store(args.out, unique, grammar_id)
     payload = {"records": len(unique), "triples": len(store), "out": args.out}
     _emit(args, payload, [f"encoded {len(unique)} paths as {len(store)} triples -> {args.out}"])
     return 0

@@ -8,13 +8,17 @@ single scan.  Once a store holds the paths for every endpoint pair of
 interest, every geodesic metric can be answered from queries alone,
 without ever running a walker again.
 
+``_decode_record`` is the only reader of a stored path: it takes the
+segments in order from ``Graph.sequence``, which rejects memberships that
+do not run ``rdf:_1`` ... ``rdf:_n`` once each, and checks every segment.
+
 A store may hold the results of many endpoint pairs under one or more
-grammar identifiers.  The first read for a grammar scans its paths once
-into an endpoint index, (first vertex, last vertex) -> (path node,
-segment count) pairs, which the store keeps (``Graph.derived``); every
-later read for that grammar finds a pair's paths by one lookup in it.
-``query_X`` and ``query_Y`` are the only reads, and ``StorePaths``
-answers through them.
+grammar identifiers.  The first read for a grammar decodes each of its
+paths once into an endpoint index, (first vertex, last vertex) -> {path
+node: decoded record}, which the store keeps (``Graph.derived``); every
+later read for that grammar is a lookup in it and makes no ``Graph.match``
+call.  ``query_X`` and ``query_Y`` are the only reads, and ``StorePaths``
+answers through them, taking its witness records from the index.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 from .engine import PathRecord, PathStep
 from .errors import IncompleteStoreError, ValidationError
-from .grammar import RWR_NS, Direction, membership_index
+from .grammar import RWR_NS, Direction
 from .metrics import MetricKind, MetricResult, fold
 from .store import (
     RDF_NS,
@@ -60,6 +64,7 @@ VOCAB = PathVocabulary()
 
 _DIRECTION_LITERALS = {Direction.FORWARD: Literal("+"), Direction.BACKWARD: Literal("-")}
 _LITERAL_DIRECTIONS = {"+": Direction.FORWARD, "-": Direction.BACKWARD}
+_NO_PATHS: dict = {}
 
 
 def encode_paths(records: Iterable, grammar_id: Resource, walker_ids: Sequence[int]) -> Graph:
@@ -97,50 +102,26 @@ def encode_paths(records: Iterable, grammar_id: Resource, walker_ids: Sequence[i
     return Graph(triples, prefixes)
 
 
-def _segments(store: Graph, path_node: Resource) -> list:
-    """The path's segment nodes in membership order, checked to run from rdf:_1 without gaps."""
-    segments = {}
-    for t in store.match((path_node, None, None)):
-        index = membership_index(t.predicate)
-        if index is not None:
-            segments[index] = t.object
-    if sorted(segments) != list(range(1, len(segments) + 1)):
-        raise ValidationError(
-            f"path {path_node!r} memberships must be consecutive from rdf:_1"
-        )
-    return [segments[index] for index in range(1, len(segments) + 1)]
-
-
-def _segment_vertex(store: Graph, segment: Resource) -> Resource:
-    found = store.match((segment, VOCAB.has_vertex, None))
-    if len(found) != 1:
-        raise ValidationError(f"segment {segment!r} must carry exactly one vertex")
-    return next(iter(found)).object
-
-
 def _decode_record(store: Graph, path_node: Resource) -> PathRecord:
+    """The record stored under ``path_node``; the only reader of a stored path's segments."""
     steps = []
-    for segment in _segments(store, path_node):
-        vertex = _segment_vertex(store, segment)
-        predicates = store.match((segment, VOCAB.has_predicate, None))
-        directions = store.match((segment, VOCAB.has_direction, None))
-        if predicates:
-            if len(predicates) != 1 or len(directions) != 1:
-                raise ValidationError(
-                    f"segment {segment!r} must carry one predicate and one direction"
-                )
-            literal = next(iter(directions)).object
-            if not isinstance(literal, Literal) or literal.lexical not in _LITERAL_DIRECTIONS:
-                raise ValidationError(f"segment {segment!r} has unknown direction {literal!r}")
-            steps.append(
-                PathStep(
-                    vertex,
-                    next(iter(predicates)).object,
-                    _LITERAL_DIRECTIONS[literal.lexical],
-                )
-            )
-        else:
-            steps.append(PathStep(vertex))
+    for segment in store.sequence(path_node):
+        found = {VOCAB.has_vertex: [], VOCAB.has_predicate: [], VOCAB.has_direction: []}
+        for t in store.outgoing(segment):
+            if t.predicate in found:
+                found[t.predicate].append(t.object)
+        vertices, predicates, directions = found.values()
+        if len(vertices) != 1:
+            raise ValidationError(f"segment {segment!r} must carry exactly one vertex")
+        if not predicates and not directions:
+            steps.append(PathStep(vertices[0]))
+            continue
+        if len(predicates) != 1 or len(directions) != 1:
+            raise ValidationError(f"segment {segment!r} must carry one predicate and one direction")
+        literal = directions[0]
+        if not isinstance(literal, Literal) or literal.lexical not in _LITERAL_DIRECTIONS:
+            raise ValidationError(f"segment {segment!r} has unknown direction {literal!r}")
+        steps.append(PathStep(vertices[0], predicates[0], _LITERAL_DIRECTIONS[literal.lexical]))
     return PathRecord(tuple(steps))
 
 
@@ -165,18 +146,18 @@ def decode_paths(store: Graph, grammar_id: Optional[Resource] = None) -> frozens
 
 
 def _scan_endpoints(store: Graph, grammar_id: Resource) -> dict:
-    """(first vertex, last vertex) -> frozenset of (path node, segment count).
+    """(first vertex, last vertex) -> {path node: decoded record}.
 
-    One pass over the grammar's stored paths; a path without segments has
-    no endpoints and is left out.
+    One pass over the grammar's stored paths, each decoded once; a path
+    without segments has no endpoints and is left out.
     """
     found: dict = {}
     for path_node in _paths_for_grammar(store, grammar_id):
-        segments = _segments(store, path_node)
-        if segments:
-            ends = (_segment_vertex(store, segments[0]), _segment_vertex(store, segments[-1]))
-            found.setdefault(ends, set()).add((path_node, len(segments)))
-    return {ends: frozenset(paths) for ends, paths in found.items()}
+        record = _decode_record(store, path_node)
+        if record.steps:
+            ends = (record.steps[0].vertex, record.steps[-1].vertex)
+            found.setdefault(ends, {})[path_node] = record
+    return found
 
 
 def _endpoint_index(store: Graph, grammar_id: Resource) -> dict:
@@ -193,7 +174,8 @@ def query_X(store: Graph, source: Resource, sink: Resource, grammar_id: Resource
     endpoint pairs: a path that merely passes through the sink on its way
     elsewhere belongs to a different pair.
     """
-    return _endpoint_index(store, grammar_id).get((source, sink), frozenset())
+    paths = _endpoint_index(store, grammar_id).get((source, sink), _NO_PATHS)
+    return frozenset((path, len(record.steps)) for path, record in paths.items())
 
 
 def min_segments(pairs: Iterable) -> Optional[int]:
@@ -217,12 +199,9 @@ def query_Y(
     grammar_id: Resource,
 ) -> frozenset:
     """Shortest stored source-to-sink paths holding ``through`` at a segment before the last."""
+    records = _endpoint_index(store, grammar_id).get((source, sink), _NO_PATHS)
     shortest = ms_shortest_paths(query_X(store, source, sink, grammar_id))
-    return frozenset(
-        path
-        for path in shortest
-        if any(_segment_vertex(store, segment) == through for segment in _segments(store, path)[:-1])
-    )
+    return frozenset(path for path in shortest if through in records[path].vertices()[:-1])
 
 
 # -- metrics from the store ------------------------------------------------------
@@ -239,9 +218,9 @@ class StorePaths:
         """Decoded tied-shortest records from source to target in key order."""
         if source is None or target is None:
             raise ValueError("shortest-path needs source and target")
+        records = _endpoint_index(self.store, self.grammar_id).get((source, target), _NO_PATHS)
         shortest = ms_shortest_paths(query_X(self.store, source, target, self.grammar_id))
-        decoded = (_decode_record(self.store, path) for path in shortest)
-        return tuple(sorted(decoded, key=PathRecord.key))
+        return tuple(sorted((records[path] for path in shortest), key=PathRecord.key))
 
     def distance(self, source: Resource, target: Resource) -> Optional[int]:
         found = min_segments(query_X(self.store, source, target, self.grammar_id))

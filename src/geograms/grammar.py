@@ -16,15 +16,15 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import GrammarLoadError, ParseError
+from .errors import GrammarLoadError, ParseError, ValidationError
 from .store import (
-    RDF_NS,
     RDFS_RESOURCE,
     RDF_TYPE,
     Graph,
     Iri,
     Literal,
     Resource,
+    membership_index,  # not used here; kept importable from this module
     resource_key,
 )
 
@@ -283,6 +283,9 @@ def _assemble(contexts: list[GrammarContext], validate: bool = True) -> Grammar:
 # -- textual DSL --------------------------------------------------------------
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+# a local name written after ``prefix:``; anything else ('#', ',', braces)
+# would be cut by the comment, edge or header syntax, so is written as <iri>
+_LOCAL_NAME = re.compile(r"[\w.-]*$")
 
 
 def _strip_comment(line: str) -> str:
@@ -421,9 +424,11 @@ def serialize_grammar_dsl(grammar: Grammar, prefix_map: dict | None = None) -> s
 
     def res(resource: Resource) -> str:
         if isinstance(resource, Iri):
-            for name, ns in prefix_map.items():
-                if resource.value.startswith(ns):
-                    return f"{name}:{resource.value[len(ns):]}"
+            # the longest namespace whose local name the parser reads back whole
+            for name, ns in sorted(prefix_map.items(), key=lambda item: (-len(item[1]), item[0])):
+                local = resource.value[len(ns):]
+                if resource.value.startswith(ns) and _LOCAL_NAME.match(local):
+                    return f"{name}:{local}"
             return f"<{resource.value}>"
         raise GrammarLoadError(f"cannot serialize non-IRI grammar resource {resource!r}")
 
@@ -466,14 +471,6 @@ def _attribute_key(attr: Attribute) -> tuple:
 
 # -- triple encoding ----------------------------------------------------------
 
-_MEMBERSHIP = re.compile(re.escape(RDF_NS) + r"_(\d+)$")
-
-
-def membership_index(predicate: Iri) -> int | None:
-    """The k of an ``rdf:_k`` container membership property, else None."""
-    m = _MEMBERSHIP.match(predicate.value)
-    return int(m.group(1)) if m else None
-
 
 def _local_name(resource: Resource) -> str:
     if isinstance(resource, Iri):
@@ -509,9 +506,10 @@ def _step_of(graph: Graph, node: Resource, what: str) -> int:
 def load_grammar_from_triples(graph: Graph, validate: bool = True) -> Grammar:
     """Assemble a grammar from its triple encoding.
 
-    Rule order comes from the ``rdf:_1, rdf:_2, ...`` membership properties
-    of each context's rule sequence.  Edges of one traverse rule carry no
-    order; they are sorted by node name for deterministic iteration.
+    Rule order comes from each context's rule sequence, read by
+    ``Graph.sequence``: its ``rdf:_k`` indexes must run 1..n, each once.
+    Edges of one traverse rule carry no order; they are sorted by node name
+    for deterministic iteration.
     """
     nodes: dict = {}
     for kind, type_iri in (
@@ -532,15 +530,12 @@ def load_grammar_from_triples(graph: Graph, validate: bool = True) -> Grammar:
         for_resource = _single_object(graph, node, RWR_FOR_RESOURCE, f"context {ctx_id}")
 
         rules: list[Rule] = []
-        rule_seqs = graph.match((node, RWR_HAS_RULES, None))
-        for seq_triple in rule_seqs:
-            members = []
-            for t in graph.match((seq_triple.object, None, None)):
-                k = membership_index(t.predicate)
-                if k is not None:
-                    members.append((k, t.object))
-            for _, rule_node in sorted(members, key=lambda kv: kv[0]):
-                rules.append(_load_rule(graph, rule_node, node_ids, ctx_id))
+        for seq_triple in graph.match((node, RWR_HAS_RULES, None)):
+            try:
+                rule_nodes = graph.sequence(seq_triple.object)
+            except ValidationError as exc:
+                raise GrammarLoadError(f"rules of context {ctx_id}: {exc}") from None
+            rules.extend(_load_rule(graph, rule_node, node_ids, ctx_id) for rule_node in rule_nodes)
 
         attributes = set()
         for bag_triple in graph.match((node, RWR_HAS_ATTRIBUTES, None)):

@@ -8,6 +8,10 @@ construction.  Anything else computed from them is kept in one memo,
 race on an entry all get the first one stored, so any number of threads
 may share a graph.
 
+``Graph.sequence`` is the only reader of ordered members, a node's
+``rdf:_1`` ... ``rdf:_n`` triples; RDF puts no condition on their indexes,
+so it checks that they run 1..n, each once.
+
 Subsumption checks run either against the transitive closure of
 ``rdfs:subClassOf`` / ``rdfs:subPropertyOf`` (the default), built into
 the memo by the first such check, or against single direct triples,
@@ -32,6 +36,8 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 RESULT_NS = "http://www.lanl.gov/rwrx#"
 
 XSD_STRING = XSD_NS + "string"
+
+_MEMBERSHIP = re.compile(re.escape(RDF_NS) + r"_(\d+)$")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,6 +118,12 @@ class Triple:
 
     def __hash__(self):
         return self._hash
+
+
+def membership_index(predicate: Iri) -> int | None:
+    """The k of an ``rdf:_k`` container membership property, else None."""
+    m = _MEMBERSHIP.match(predicate.value)
+    return int(m.group(1)) if m else None
 
 
 def triple_key(triple: Triple) -> tuple:
@@ -264,6 +276,21 @@ class Graph:
         return frozenset(
             t for t in base if (p is None or t.predicate == p) and (o is None or t.object == o)
         )
+
+    def sequence(self, node: Resource) -> list:
+        """The objects of ``node``'s ``rdf:_1`` ... ``rdf:_n`` triples, in index order.
+
+        Raises ``ValidationError`` unless the indexes are exactly 1..n, each
+        once, whatever order the triples are stored in.
+        """
+        members = [(membership_index(t.predicate), t.object) for t in self.outgoing(node)]
+        members = sorted((m for m in members if m[0] is not None), key=lambda m: m[0])
+        indexes = [index for index, _ in members]
+        if indexes != list(range(1, len(indexes) + 1)):
+            raise ValidationError(
+                f"sequence {node!r} must hold rdf:_1 ... rdf:_n once each, holds rdf:_k for k in {indexes}"
+            )
+        return [member for _, member in members]
 
     # -- subsumption --------------------------------------------------------
 

@@ -3,11 +3,11 @@ import pathlib
 
 import pytest
 
-from geograms import cli, metrics
-from geograms.encoding import decode_paths
-from geograms.store import load_ntriples
+from geograms import cli, metrics, parse_grammar_dsl
+from geograms.encoding import decode_paths, p_encoded_metric
+from geograms.store import RESULT_NS, Iri, load_ntriples
 
-from conftest import FIXTURES, read_fixture
+from conftest import FIXTURES, lanl, read_fixture
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -148,6 +148,29 @@ def test_encode_command(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["records"] == 2
     assert len(load_ntriples(out_file.read_text())) == payload["triples"]
+
+
+def test_encode_all_pairs_store_answers_every_metric_as_the_walker(capsys, tmp_path):
+    out_file = tmp_path / "pairs.nt"
+    universe = [lanl("johan"), lanl("marko"), lanl("norman")]
+    code, out, _ = run_cli(
+        capsys,
+        "encode", *graph_args(),
+        "--grammar", str(FIXTURES / "any_path.pg"),
+        "--all-pairs", "--vertices", "lanl:johan", "--vertices", "lanl:marko", "--vertices", "lanl:norman",
+        "--out", str(out_file), "--output", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["records"] == 108
+    store = load_ntriples(out_file.read_text())
+    walker = metrics.WalkerPaths(load_ntriples(read_fixture("social.nt")), parse_grammar_dsl(read_fixture("any_path.pg")))
+    grammar_id = Iri(RESULT_NS + "grammar_0")
+    for kind in metrics.MetricKind:
+        for source in universe:
+            for target in universe:
+                if source != target:
+                    found = p_encoded_metric(kind, store, grammar_id, universe, source=source, target=target)
+                    assert found == metrics.fold(kind, walker, universe, source, target), (kind, source, target)
 
 
 def test_validate_grammar_ok(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -130,6 +131,34 @@ def test_store_reads_reject_membership_gaps():
         )
 
 
+def test_store_reads_reject_a_repeated_membership():
+    # the last segment of a two-edge path moved from rdf:_3 onto rdf:_2,
+    # which a middle segment already holds
+    store = encode_paths([SHORT_RECORD], GRAMMAR_ID, [0])
+    repeated = Graph(
+        (
+            Triple(tr.subject, VOCAB.membership(2), tr.object)
+            if membership_index(tr.predicate) == 3
+            else tr
+            for tr in store.triples
+        ),
+        store.prefix_map,
+    )
+    message = re.escape(
+        "sequence <http://www.lanl.gov/rwrx#path_0> must hold rdf:_1 ... rdf:_n once each, "
+        "holds rdf:_k for k in [1, 2, 2]"
+    )
+    with pytest.raises(ValidationError, match=message):
+        decode_paths(repeated)
+    with pytest.raises(ValidationError, match=message):
+        query_X(repeated, lanl("johan"), lanl("norman"), GRAMMAR_ID)
+    with pytest.raises(ValidationError, match=message):
+        p_encoded_metric(
+            MetricKind.ECCENTRICITY, repeated, GRAMMAR_ID, [lanl("johan"), lanl("norman")],
+            source=lanl("johan"),
+        )
+
+
 def test_round_trip_survives_serialization(two_path_store):
     again = load_ntriples(two_path_store.to_ntriples())
     assert decode_paths(again, GRAMMAR_ID) == {SHORT_RECORD, LONG_RECORD}
@@ -212,15 +241,19 @@ def test_endpoint_index_is_built_by_the_first_read_and_kept(monkeypatch):
     p_encoded_metric(MetricKind.ECCENTRICITY, store, GRAMMAR_ID, [johan, norman], source=johan)
     assert scans == [GRAMMAR_ID]
     index = encoding._endpoint_index(store, GRAMMAR_ID)
-    assert index[(johan, norman)] == {
-        (Iri("http://www.lanl.gov/rwrx#path_0"), 4),
-        (Iri("http://www.lanl.gov/rwrx#path_1"), 3),
-    }
     # later reads look the pair up and make no match calls
     patterns = []
     real_match = Graph.match
     monkeypatch.setattr(Graph, "match", lambda graph, pattern: patterns.append(pattern) or real_match(graph, pattern))
-    assert query_X(store, johan, norman, GRAMMAR_ID) == index[(johan, norman)]
+    assert query_X(store, johan, norman, GRAMMAR_ID) == {
+        (Iri("http://www.lanl.gov/rwrx#path_0"), 4),
+        (Iri("http://www.lanl.gov/rwrx#path_1"), 3),
+    }
+    assert query_Y(store, johan, norman, lanl("marko"), GRAMMAR_ID) == {Iri("http://www.lanl.gov/rwrx#path_1")}
+    paths = StorePaths(store, GRAMMAR_ID)
+    assert paths.witnesses(johan, norman) == (SHORT_RECORD,)
+    assert paths.distance(johan, norman) == 2
+    assert paths.through(johan, norman, lanl("marko")) == (1, 1)
     p_encoded_metric(MetricKind.ECCENTRICITY, store, GRAMMAR_ID, [johan, norman], source=johan)
     assert patterns == []
     assert scans == [GRAMMAR_ID]

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -182,6 +183,26 @@ def test_dsl_serializer_honors_prefixes(researcher_grammar):
     assert parse_grammar_dsl(text) == researcher_grammar
 
 
+def test_dsl_round_trip_writes_unreadable_local_names_as_iris():
+    # '#' starts a comment, ',' separates edges and braces frame a context,
+    # so only a local name of word characters, '.' and '-' is written prefixed
+    prefixes = {"e": "http://e.org/", "ea": "http://e.org/a#"}
+    cases = [
+        ("http://e.org/a#b", "ea:b"),
+        ("http://e.org/x#y", "<http://e.org/x#y>"),
+        ("http://e.org/c,d", "<http://e.org/c,d>"),
+        ("http://e.org/{f}", "<http://e.org/{f}>"),
+        ("http://e.org/g.h-i_j", "e:g.h-i_j"),
+    ]
+    for iri, written in cases:
+        for prefix_map in (prefixes, {"e": "http://e.org/"}):
+            grammar = unconstrained_grammar(Iri(iri), Iri("http://e.org/sink"))
+            text = serialize_grammar_dsl(grammar, prefix_map)
+            if prefix_map is prefixes:
+                assert f"for {written} {{" in text
+            assert parse_grammar_dsl(text) == grammar
+
+
 # -- triple encoding -----------------------------------------------------------------
 
 
@@ -213,6 +234,25 @@ def test_grammar_graph_missing_for_resource_rejected():
         "psi:norman_4 rwr:forResource lanl:norman .\n", ""
     )
     with pytest.raises(GrammarLoadError):
+        load_grammar_from_triples(load_ntriples(text))
+
+
+@pytest.mark.parametrize(
+    "member, indexes",
+    [("rdf:_1", "[1, 1]"), ("rdf:_3", "[1, 3]")],
+    ids=["repeated", "gap"],
+)
+def test_grammar_graph_rule_sequence_must_run_from_one_once_each(member, indexes):
+    # the entry's traverse rule moved from rdf:_2 onto a repeated or a skipped index
+    text = read_fixture("researcher_path_grammar.nt").replace(
+        "psi:rules_0 rdf:_2 psi:traverse_0 .",
+        f"psi:rules_0 {member} psi:traverse_0 .",
+    )
+    message = (
+        "rules of context johan_0: sequence <http://www.lanl.gov/psi#rules_0> must hold "
+        f"rdf:_1 ... rdf:_n once each, holds rdf:_k for k in {indexes}"
+    )
+    with pytest.raises(GrammarLoadError, match=re.escape(message)):
         load_grammar_from_triples(load_ntriples(text))
 
 

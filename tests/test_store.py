@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
 from geograms import load_ntriples
 from geograms.errors import ParseError, ValidationError
 from geograms.store import (
+    RDF_NS,
     RDF_TYPE,
     RDFS_RESOURCE,
     Blank,
@@ -311,6 +313,25 @@ def test_threads_racing_on_a_derived_key_all_get_the_first_value_stored():
     assert all(value is found[0] for value in found)
     assert found[0] in builds
     assert graph.derived("slow", build) is found[0] and len(builds) == n_threads
+
+
+def test_sequence_orders_members_by_index_and_rejects_gaps_and_repeats():
+    seq = Iri("http://e.org/seq")
+
+    def member(name: str) -> Triple:
+        return Triple(seq, Iri(RDF_NS + name), Iri("http://e.org/" + name))
+
+    ten = [member(f"_{k}") for k in range(10, 0, -1)]
+    graph = Graph(ten + [Triple(seq, RDF_TYPE, Iri(RDF_NS + "Seq"))])
+    assert graph.sequence(seq) == [Iri(f"http://e.org/_{k}") for k in range(1, 11)]
+    assert graph.sequence(Iri("http://e.org/none")) == []
+    for broken, indexes in (
+        ([member("_2")], [2]),
+        ([member("_0"), member("_1")], [0, 1]),
+        ([member("_1"), member("_01")], [1, 1]),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(f"holds rdf:_k for k in {indexes}")):
+            Graph(broken).sequence(seq)
 
 
 def test_rdfs_resource_matches_everything(social_graph):
