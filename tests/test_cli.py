@@ -163,7 +163,8 @@ def test_encode_all_pairs_store_answers_every_metric_as_the_walker(capsys, tmp_p
     assert code == 0
     assert json.loads(out)["records"] == 108
     store = load_ntriples(out_file.read_text())
-    walker = metrics.WalkerPaths(load_ntriples(read_fixture("social.nt")), parse_grammar_dsl(read_fixture("any_path.pg")))
+    graph = load_ntriples(read_fixture("social.nt"))
+    walker = metrics.WalkerPaths(graph, parse_grammar_dsl(read_fixture("any_path.pg")))
     grammar_id = Iri(RESULT_NS + "grammar_0")
     for kind in metrics.MetricKind:
         for source in universe:
