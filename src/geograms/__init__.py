@@ -8,12 +8,8 @@ from .engine import (
     RunTrace,
     Transition,
     Walker,
-    apply_path_count,
     expand,
-    is_set,
     legal_edges,
-    not_ever_set,
-    not_set,
     run,
 )
 from .errors import (

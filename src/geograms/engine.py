@@ -8,16 +8,17 @@ rules in order; a traverse rule with several legal transitions clones the
 walker, one clone per transition.  Walkers reaching the exit context run
 its rules and retire their recorded path into the result set.
 
-Walkers step on integer ids.  The first run over a graph derives its
-``GraphIndex`` (``Graph.derived``), which numbers its vertices and
-predicates and is shared by every later run.  A vertex's moves, read
-from the graph's own subject and object indexes and put in ``triple_key``
-order, are built when a walker first stands on it, so a run pays only
-for the part of the graph it explores.  A walker the engine builds keeps
-its trail's vertex ids, so the checks ``legal_edges`` makes per candidate
-edge are list, dict and set lookups on ints.  ``Triple``s, ``Transition``s
-and ``PathRecord``s are built only for what a step returns, what a run
-returns, and what a ``RunTrace`` records.
+Walkers step on integer ids, and each rule has one implementation, on
+them: ``legal_edges`` applies is, not and notever, ``expand`` pathcount.
+The first run over a graph derives its ``GraphIndex`` (``Graph.derived``),
+which numbers its vertices and predicates and is shared by every later
+run.  A vertex's moves, read from the graph's own subject and object
+indexes and put in ``triple_key`` order, are built when a walker first
+stands on it, so a run pays only for the part of the graph it explores.
+A walker the engine builds keeps its trail's vertex ids, so each check
+per candidate edge is a list, dict or set lookup on ints.  ``Triple``s,
+``Transition``s and ``PathRecord``s are built only for what a step
+returns, what a run returns, and what a ``RunTrace`` records.
 """
 
 from __future__ import annotations
@@ -298,16 +299,7 @@ def index_of(graph: Graph) -> GraphIndex:
     return graph.derived(GraphIndex, GraphIndex)
 
 
-# -- attribute sets ------------------------------------------------------------
-#
-# The vertices the is/not/notever attributes name.  ``legal_edges`` makes
-# the same checks on vertex ids, resolving positions through the same
-# ``_reach_back``; these give them as resources.
-
-
-def not_ever_set(walker: Walker) -> frozenset:
-    """All vertices the walker has ever stood on (never predicates)."""
-    return frozenset(step.vertex for step in walker.trail)
+# -- legal edge computation ------------------------------------------------------
 
 
 def _reach_back(length: int, steps: Iterable, kind: str, context_id: str) -> list:
@@ -321,23 +313,6 @@ def _reach_back(length: int, steps: Iterable, kind: str, context_id: str) -> lis
             )
         positions.append(length - step)
     return positions
-
-
-def is_set(walker: Walker, attrs: Iterable, context_id: str = "?") -> frozenset:
-    """Vertices the next context must resolve to; empty means unconstrained."""
-    steps = [a.step for a in attrs if isinstance(a, Is)]
-    positions = _reach_back(len(walker.trail), steps, "is", context_id)
-    return frozenset(walker.trail[p].vertex for p in positions)
-
-
-def not_set(walker: Walker, attrs: Iterable, context_id: str = "?") -> frozenset:
-    """Vertices the next context must not resolve to."""
-    steps = [a.step for a in attrs if isinstance(a, Not)]
-    positions = _reach_back(len(walker.trail), steps, "not", context_id)
-    return frozenset(walker.trail[p].vertex for p in positions)
-
-
-# -- legal edge computation ------------------------------------------------------
 
 
 class _TraceSink:
@@ -447,17 +422,6 @@ def _counted(walker: Walker, step: int) -> PathStep:
             context_id=walker.context,
         )
     return walker.trail[position]
-
-
-def apply_path_count(walker: Walker, step: int) -> Walker:
-    """Append the trail segment ``step`` time-steps back to the recorded path.
-
-    ``expand`` records the same segment, through ``_counted``, on the
-    successors it builds rather than on an intermediate walker.
-    """
-    successor = Walker(walker.id, walker.context, walker.trail, walker.recorded + (_counted(walker, step),))
-    _set(successor, "_bound", walker._bound)
-    return successor
 
 
 # -- tracing ----------------------------------------------------------------------

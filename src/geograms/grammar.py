@@ -24,7 +24,6 @@ from .store import (
     Iri,
     Literal,
     Resource,
-    membership_index,  # not used here; kept importable from this module
     resource_key,
 )
 
@@ -419,7 +418,7 @@ def parse_grammar_dsl(text: str, validate: bool = True) -> Grammar:
 
 
 def serialize_grammar_dsl(grammar: Grammar, prefix_map: dict | None = None) -> str:
-    """Render a grammar back to DSL text; inverse of ``parse_grammar_dsl``."""
+    """Render a grammar as the DSL text ``parse_grammar_dsl`` reads back as it; raise if none."""
     prefix_map = prefix_map or {}
 
     def res(resource: Resource) -> str:
@@ -458,7 +457,16 @@ def serialize_grammar_dsl(grammar: Grammar, prefix_map: dict | None = None) -> s
                 )
                 lines.append(f"  traverse {edges}")
         lines.append("}")
-    return "\n".join(lines) + "\n"
+    # the DSL has no escapes, so an IRI the reader would cut or expand makes
+    # text that reads back differently; the reader is the one judge of that
+    text = "\n".join(lines) + "\n"
+    try:
+        same = parse_grammar_dsl(text, validate=False) == grammar
+    except ParseError as exc:
+        raise GrammarLoadError(f"cannot write the grammar as DSL text, which would not parse: {exc}") from None
+    if not same:
+        raise GrammarLoadError("cannot write the grammar as DSL text, which would read back as another grammar")
+    return text
 
 
 def _attribute_key(attr: Attribute) -> tuple:
@@ -506,10 +514,10 @@ def _step_of(graph: Graph, node: Resource, what: str) -> int:
 def load_grammar_from_triples(graph: Graph, validate: bool = True) -> Grammar:
     """Assemble a grammar from its triple encoding.
 
-    Rule order comes from each context's rule sequence, read by
+    Rule order comes from a context's one rule sequence, read by
     ``Graph.sequence``: its ``rdf:_k`` indexes must run 1..n, each once.
-    Edges of one traverse rule carry no order; they are sorted by node name
-    for deterministic iteration.
+    A traverse rule's edges are put in edge-node IRI order, which breaks
+    the specificity ties of ``legal_edges``.
     """
     nodes: dict = {}
     for kind, type_iri in (
@@ -529,8 +537,11 @@ def load_grammar_from_triples(graph: Graph, validate: bool = True) -> Grammar:
         ctx_id = node_ids[node]
         for_resource = _single_object(graph, node, RWR_FOR_RESOURCE, f"context {ctx_id}")
 
+        sequences = graph.match((node, RWR_HAS_RULES, None))
+        if len(sequences) > 1:
+            raise GrammarLoadError(f"context {ctx_id} has {len(sequences)} rule sequences, at most one allowed")
         rules: list[Rule] = []
-        for seq_triple in graph.match((node, RWR_HAS_RULES, None)):
+        for seq_triple in sequences:
             try:
                 rule_nodes = graph.sequence(seq_triple.object)
             except ValidationError as exc:
@@ -554,7 +565,7 @@ def _load_rule(graph: Graph, node: Resource, node_ids: dict, ctx_id: str) -> Rul
         return PathCount(_step_of(graph, node, f"pathcount rule of {ctx_id}"))
     if RWR_TRAVERSE in types:
         edges = []
-        for t in sorted(graph.match((node, RWR_HAS_EDGE, None)), key=triple_sort):
+        for t in sorted(graph.match((node, RWR_HAS_EDGE, None)), key=lambda t: resource_key(t.object)):
             edge_node = t.object
             edge_types = {x.object for x in graph.match((edge_node, RDF_TYPE, None))}
             if RWR_OUT_EDGE in edge_types:
@@ -587,10 +598,6 @@ def _load_attribute(graph: Graph, node: Resource, ctx_id: str) -> Attribute:
     if RWR_NOT in types:
         return Not(_step_of(graph, node, f"not attribute of {ctx_id}"))
     raise GrammarLoadError(f"attribute {node!r} of {ctx_id} has no recognized type")
-
-
-def triple_sort(triple) -> tuple:
-    return resource_key(triple.object)
 
 
 # -- ready-made shapes ---------------------------------------------------------

@@ -8,9 +8,9 @@ store.  Unreachable targets are skipped rather than poisoning an
 aggregate; the number skipped is reported on the result.
 
 ``unlabeled_oracle_geodesics`` is an independent reference: plain BFS on
-the undirected, unlabeled projection of the graph, with schema triples
-(rdf/rdfs namespaces by default) excluded.  It never touches the walker
-engine, which is what makes it usable as an oracle against it.
+``project_to_unlabeled``, the graph's undirected, unlabeled projection
+without schema (rdf/rdfs) triples.  It never touches the walker engine,
+which is what makes it usable as an oracle against it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .store import (
     resource_key,
 )
 
+# the namespaces of schema predicates, whose triples the projection leaves out
 DEFAULT_SCHEMA_NAMESPACES = (RDF_NS, RDFS_NS)
 
 PROJECTION_PREDICATE = Iri(RESULT_NS + "adjacentTo")
@@ -224,68 +225,48 @@ def default_universe(graph: Graph, grammar: Grammar) -> frozenset:
 # -- undirected unlabeled projection and its BFS oracle ---------------------------
 
 
-def _is_schema(triple: Triple, namespaces) -> bool:
-    return any(triple.predicate.value.startswith(ns) for ns in namespaces)
-
-
-def projection_edges(graph: Graph, schema_namespaces=DEFAULT_SCHEMA_NAMESPACES) -> set:
+def projection_edges(graph: Graph) -> set:
     """Unordered vertex pairs from every non-schema triple."""
     edges = set()
     for t in graph.triples:
-        if _is_schema(t, schema_namespaces):
+        if t.predicate.value.startswith(DEFAULT_SCHEMA_NAMESPACES):
             continue
         a, b = sorted((t.subject, t.object), key=resource_key)
         edges.add((a, b))
     return edges
 
 
-def project_to_unlabeled(
-    graph: Graph, schema_namespaces=DEFAULT_SCHEMA_NAMESPACES
-) -> Graph:
-    """Materialize the undirected, unlabeled view as a single-predicate graph.
+def project_to_unlabeled(graph: Graph) -> Graph:
+    """The undirected, unlabeled view as a single-predicate graph, derived once per graph.
 
     Parallel and inverse edges collapse, so path multiplicities on the
     projection match what classic single-relational metrics would count.
     """
-    triples = [
-        Triple(a, PROJECTION_PREDICATE, b)
-        for a, b in projection_edges(graph, schema_namespaces)
-    ]
-    return Graph(triples, graph.prefix_map, graph.subsumption)
+
+    def build(graph: Graph) -> Graph:
+        triples = [Triple(a, PROJECTION_PREDICATE, b) for a, b in projection_edges(graph)]
+        return Graph(triples, graph.prefix_map, graph.subsumption)
+
+    return graph.derived(project_to_unlabeled, build)
 
 
-def _adjacency(graph: Graph, schema_namespaces) -> dict:
-    """Vertex -> its neighbors on the undirected unlabeled projection."""
-    adjacency: dict = {}
-    for a, b in projection_edges(graph, schema_namespaces):
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-    return adjacency
-
-
-def unlabeled_oracle_geodesics(
-    graph: Graph,
-    source: Resource,
-    target: Resource,
-    schema_namespaces=DEFAULT_SCHEMA_NAMESPACES,
-) -> Optional[int]:
+def unlabeled_oracle_geodesics(graph: Graph, source: Resource, target: Resource) -> Optional[int]:
     """Classic BFS distance on the undirected unlabeled projection.
 
-    Reference implementation independent of the walker engine: adjacency
-    lists, derived once per graph and namespace tuple, and a queue, nothing
-    else.  Returns None when unreachable.
+    Reference implementation independent of the walker engine: the
+    projection's indexes and a queue, nothing else.  None when unreachable.
     """
     if source == target:
         return 0
-    namespaces = tuple(schema_namespaces)
-    adjacency = graph.derived((_adjacency, namespaces), lambda g: _adjacency(g, namespaces))
-    if source not in adjacency or target not in adjacency:
+    projection = project_to_unlabeled(graph)
+    if source not in projection.vertices() or target not in projection.vertices():
         return None
     seen = {source}
     queue = deque([(source, 0)])
     while queue:
         vertex, dist = queue.popleft()
-        for neighbor in adjacency[vertex]:
+        for t in projection.outgoing(vertex) | projection.incoming(vertex):
+            neighbor = t.object if t.subject == vertex else t.subject
             if neighbor == target:
                 return dist + 1
             if neighbor not in seen:

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -215,14 +218,36 @@ def test_oracle_check_passes_on_fixture(capsys):
 def test_oracle_check_reports_mismatch(capsys, monkeypatch):
     real = metrics.unlabeled_oracle_geodesics
 
-    def skewed(graph, source, target, schema_namespaces=metrics.DEFAULT_SCHEMA_NAMESPACES):
-        value = real(graph, source, target, schema_namespaces)
+    def skewed(graph, source, target):
+        value = real(graph, source, target)
         return None if value is None else value + 1
 
     monkeypatch.setattr(metrics, "unlabeled_oracle_geodesics", skewed)
     code, out, _ = run_cli(capsys, "oracle-check", *graph_args(), "--output", "json")
     assert code == 3
     assert json.loads(out)["mismatches"]
+
+
+def run_module(*argv):
+    """``python -m geograms`` in a child process, with the package's source on its path."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "geograms", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_module_entry_point_validates_a_grammar():
+    done = run_module("validate-grammar", "--grammar", str(FIXTURES / "researcher_path.pg"))
+    assert done.returncode == 0
+    assert done.stdout.strip() == "ok"
+
+
+def test_module_entry_point_exits_2_on_a_missing_graph(tmp_path):
+    done = run_module("oracle-check", "--graph", str(tmp_path / "missing.nt"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
 
 
 def test_usage_error_exit_1(capsys):

@@ -162,9 +162,9 @@ def test_grammar_that_is_not_utf8_is_a_data_error(capsys, tmp_path):
     assert "utf-8" in err
 
 
-def test_oracle_check_projects_the_graph_at_most_twice(capsys, monkeypatch):
-    # once for the projection the walker runs on, once for the oracle's
-    # adjacency; not once per checked pair
+def test_oracle_check_projects_the_graph_once(capsys, monkeypatch):
+    # the walker and the oracle's BFS share the graph's one projection,
+    # derived on first use; not once per checked pair
     from geograms import metrics
 
     calls = []
@@ -180,4 +180,4 @@ def test_oracle_check_projects_the_graph_at_most_twice(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["pairs"] > 2
-    assert len(calls) <= 2
+    assert len(calls) == 1

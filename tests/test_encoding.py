@@ -16,7 +16,7 @@ from geograms.encoding import (
 )
 from geograms.engine import PathRecord, PathStep, RunMode, run
 from geograms.errors import IncompleteStoreError, ValidationError
-from geograms.grammar import Direction, membership_index, unconstrained_grammar
+from geograms.grammar import Direction, unconstrained_grammar
 from geograms.metrics import (
     MetricKind,
     betweenness,
@@ -27,7 +27,7 @@ from geograms.metrics import (
     radius,
     shortest_path,
 )
-from geograms.store import RDF_NS, Graph, Iri, Triple, load_ntriples
+from geograms.store import RDF_NS, Graph, Iri, Triple, load_ntriples, membership_index
 
 from conftest import lanl, read_fixture
 from oracles import (

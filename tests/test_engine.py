@@ -10,13 +10,9 @@ from geograms.engine import (
     RunMode,
     RunTrace,
     Walker,
-    apply_path_count,
     expand,
     index_of,
-    is_set,
     legal_edges,
-    not_ever_set,
-    not_set,
     run,
 )
 from geograms.errors import (
@@ -26,8 +22,6 @@ from geograms.errors import (
 )
 from geograms.grammar import (
     Direction,
-    Is,
-    Not,
     load_grammar_from_triples,
     parse_grammar_dsl,
     rebind_endpoints,
@@ -60,51 +54,109 @@ def detour_walker():
     )
 
 
-# -- attribute sets ------------------------------------------------------------
+# -- attributes --------------------------------------------------------------------
+#
+# Each test below runs one generation of a walker whose context steps, over
+# any predicate in either direction, into the context ``probed``, which
+# carries the attributes under test.
+
+
+PROBE_DSL = """
+@prefix lanl: <http://www.lanl.gov#>
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#>
+context start entry for lanl:johan {{
+  pathcount 0
+  traverse out rdfs:Resource -> {context}
+}}
+context {context} for rdfs:Resource {{
+  traverse out rdfs:Resource -> probed, in rdfs:Resource -> probed
+}}
+context probed for rdfs:Resource {{
+{attributes}
+}}
+context end exit for lanl:norman {{
+  pathcount 0
+}}
+"""
+
+# johan with a self-loop, so that a step may land back on the walker's vertex
+LOOP_GRAPH = Graph(
+    [Triple(lanl("johan"), lanl("knows"), lanl("johan")), Triple(lanl("johan"), lanl("knows"), lanl("marko"))]
+)
+
+
+def probe(graph, walker, *attributes):
+    """(the vertices the walker's successors stand on, each rejected (vertex, reason))."""
+    grammar = parse_grammar_dsl(PROBE_DSL.format(context=walker.context, attributes="\n".join(attributes)))
+    trace = RunTrace()
+    (frontier, _), _ = expand(graph, grammar, [walker], trace=trace)
+    (generation,) = trace.generations
+    rejected = {
+        (r.triple.object if r.direction is FWD else r.triple.subject, r.reason) for r in generation.rejections
+    }
+    return {w.vertex for w in frontier}, rejected
 
 
 def test_not_ever_set_singleton():
     walker = Walker(0, "johan_0", (step("johan"),))
-    assert not_ever_set(walker) == {lanl("johan")}
+    assert probe(LOOP_GRAPH, walker) == ({lanl("johan"), lanl("marko")}, set())
+    assert probe(LOOP_GRAPH, walker, "notever") == ({lanl("marko")}, {(lanl("johan"), "notever")})
 
 
-def test_not_ever_set_collects_vertices_only(detour_walker):
-    assert not_ever_set(detour_walker) == {lanl("johan"), lanl("marko"), lanl("Researcher")}
+def test_not_ever_set_collects_vertices_only(social_graph, detour_walker):
+    # marko also links to itself and to the trail's two predicates, as vertices
+    extra = [Triple(lanl("marko"), lanl("knows"), lanl(name)) for name in ("marko", "hasFriend", "hasPosition")]
+    graph = Graph([*social_graph.triples, *extra])
+    admitted, rejected = probe(graph, detour_walker, "notever")
+    assert admitted == {lanl("jhw"), lanl("norman"), lanl("Human"), lanl("hasFriend"), lanl("hasPosition")}
+    assert rejected == {(lanl(name), "notever") for name in ("johan", "marko", "Researcher")}
 
 
-def test_is_set_walkthrough_resolution():
+def test_is_set_walkthrough_resolution(social_graph, researcher_grammar):
     # resolving position 3 with step 2 must land on the vertex at position 1
     walker = Walker(
         0,
         "Researcher_2",
         (step("johan"), step("marko", "hasFriend", FWD), step("Researcher", "hasPosition", FWD)),
     )
-    assert is_set(walker, {Is(2)}, "Human_3") == {lanl("marko")}
+    trace = RunTrace()
+    (frontier, _), _ = expand(social_graph, researcher_grammar, [walker], trace=trace)
+    assert [(w.context, w.vertex) for w in frontier] == [("Human_3", lanl("marko"))]
+    assert [(r.triple.subject, r.far_context, r.reason) for r in trace.generations[0].rejections] == [
+        (lanl("jhw"), "Human_3", "is")
+    ]
 
 
-def test_is_set_empty_without_attributes(detour_walker):
-    assert is_set(detour_walker, frozenset(), "x") == frozenset()
+def test_is_set_empty_without_attributes(social_graph, detour_walker):
+    # no attribute leaves every neighbor of marko open, even those on the trail
+    admitted = {lanl(name) for name in ("johan", "jhw", "norman", "Researcher", "Human")}
+    assert probe(social_graph, detour_walker) == (admitted, set())
 
 
 def test_is_set_immediate_backtrack():
     walker = Walker(0, "c", (step("johan"),))
-    assert is_set(walker, {Is(1)}, "c") == {lanl("johan")}
+    assert probe(LOOP_GRAPH, walker, "is 1") == ({lanl("johan")}, {(lanl("marko"), "is")})
 
 
 def test_is_set_step_past_start_raises():
     walker = Walker(0, "c", (step("johan"),))
     with pytest.raises(GrammarRuntimeError) as info:
-        is_set(walker, {Is(2)}, "deep")
-    assert "deep" in str(info.value)
+        probe(LOOP_GRAPH, walker, "is 2")
+    assert info.value.context_id == "probed"
+    assert "probed" in str(info.value)
 
 
-def test_two_is_attributes_union_their_targets():
+def test_two_is_attributes_union_their_targets(social_graph):
     walker = Walker(
         0,
         "c",
         (step("johan"), step("marko", "hasFriend", FWD), step("jhw", "hasFriend", FWD)),
     )
-    assert is_set(walker, {Is(1), Is(3)}, "c") == {lanl("jhw"), lanl("johan")}
+    # jhw also links to itself and to johan
+    extra = [Triple(lanl("jhw"), lanl("knows"), lanl(name)) for name in ("jhw", "johan")]
+    admitted, rejected = probe(Graph([*social_graph.triples, *extra]), walker, "is 1", "is 3")
+    assert admitted == {lanl("jhw"), lanl("johan")}
+    assert rejected == {(lanl(name), "is") for name in ("marko", "norman", "Researcher", "Human")}
 
 
 def test_not_set_blocks_coauthor_backtrack():
@@ -114,13 +166,14 @@ def test_not_set_blocks_coauthor_backtrack():
         "Article",
         (step("marko"), step("jbollen", "authored", BWD), step("article", "authored", FWD)),
     )
-    assert not_set(walker, {Not(2)}, "Human") == {lanl("jbollen")}
+    graph = Graph([Triple(lanl(name), lanl("authored"), lanl("article")) for name in ("marko", "jbollen")])
+    assert probe(graph, walker, "not 2") == ({lanl("marko")}, {(lanl("jbollen"), "not")})
 
 
 def test_not_set_trivials():
     walker = Walker(0, "c", (step("johan"),))
-    assert not_set(walker, frozenset(), "c") == frozenset()
-    assert not_set(walker, {Not(1)}, "c") == {lanl("johan")}
+    assert probe(LOOP_GRAPH, walker) == ({lanl("johan"), lanl("marko")}, set())
+    assert probe(LOOP_GRAPH, walker, "not 1") == ({lanl("marko")}, {(lanl("johan"), "not")})
 
 
 def test_path_step_requires_predicate_and_direction_together():
@@ -174,17 +227,21 @@ def test_legal_edges_is_attribute_prevents_clone(social_graph, researcher_gramma
 # -- path counting -----------------------------------------------------------------
 
 
-def test_path_count_at_entry():
+def test_path_count_at_entry(social_graph, researcher_grammar):
     walker = Walker(0, "johan_0", (step("johan"),))
-    assert apply_path_count(walker, 0).recorded == (step("johan"),)
+    (frontier, _), _ = expand(social_graph, researcher_grammar, [walker])
+    assert [w.recorded for w in frontier] == [(step("johan"),)]
 
 
-def test_path_count_reaches_back_through_detour(detour_walker):
-    counted = apply_path_count(detour_walker, 2)
-    assert counted.recorded == (step("johan"), step("marko", "hasFriend", FWD))
+def test_path_count_reaches_back_through_detour(social_graph, researcher_grammar, detour_walker):
+    # Human_3 records with pathcount 2, from marko back past the detour
+    (frontier, _), _ = expand(social_graph, researcher_grammar, [detour_walker])
+    assert len(frontier) == 2
+    for successor in frontier:
+        assert successor.recorded == (step("johan"), step("marko", "hasFriend", FWD))
 
 
-def test_path_count_at_exit_completes_record():
+def test_path_count_at_exit_completes_record(social_graph, researcher_grammar):
     walker = Walker(
         0,
         "norman_4",
@@ -197,16 +254,20 @@ def test_path_count_at_exit_completes_record():
         ),
         (step("johan"), step("marko", "hasFriend", FWD)),
     )
-    counted = apply_path_count(walker, 0)
-    record = PathRecord(counted.recorded)
+    (frontier, finished), _ = expand(social_graph, researcher_grammar, [walker])
+    assert frontier == ()
+    (record,) = finished
+    assert record.steps == (step("johan"), step("marko", "hasFriend", FWD), step("norman", "hasFriend", FWD))
     assert record.edge_length == 2
     assert record.flattened_length == 7
 
 
-def test_path_count_past_start_raises():
+def test_path_count_past_start_raises(social_graph):
+    grammar = parse_grammar_dsl(read_fixture("researcher_path.pg").replace("pathcount 0", "pathcount 1", 1))
     walker = Walker(0, "johan_0", (step("johan"),))
-    with pytest.raises(GrammarRuntimeError):
-        apply_path_count(walker, 1)
+    with pytest.raises(GrammarRuntimeError) as info:
+        expand(social_graph, grammar, [walker])
+    assert info.value.context_id == "johan_0"
 
 
 # -- expand ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from geograms.grammar import (
     ContextKind,
     Direction,
     EdgeSpec,
+    Grammar,
     Is,
     Not,
     NotEver,
@@ -24,7 +26,7 @@ from geograms.grammar import (
 from geograms.store import RDFS_RESOURCE, Iri
 
 from conftest import LANL, lanl, read_fixture
-from oracles import random_grammar, random_multi_predicate_graph
+from oracles import TEST_NS, random_grammar, random_multi_predicate_graph
 
 MINIMAL = """
 @prefix ex: <http://example.org/>
@@ -201,6 +203,60 @@ def test_dsl_round_trip_writes_unreadable_local_names_as_iris():
         assert parse_grammar_dsl(text) == grammar
 
 
+def test_dsl_writer_raises_for_a_predicate_the_reader_would_split():
+    # ',' separates the edges of a traverse rule, and the DSL has no escape
+    grammar = parse_grammar_dsl(MINIMAL)
+    edges = (EdgeSpec(Direction.FORWARD, Iri("http://e.org/p,q"), "b"),)
+    entry = replace(grammar.contexts["a"], rules=(PathCount(0), Traverse(edges)))
+    with pytest.raises(GrammarLoadError, match="would not parse"):
+        serialize_grammar_dsl(Grammar({**grammar.contexts, "a": entry}, "a", "b"))
+
+
+def test_dsl_writer_raises_for_an_iri_the_reader_would_expand():
+    # <e:x> reads back as http://e.org/x while prefix e is declared
+    grammar = unconstrained_grammar(Iri("e:x"), Iri("http://e.org/sink"))
+    with pytest.raises(GrammarLoadError, match="would read back as another grammar"):
+        serialize_grammar_dsl(grammar, {"e": "http://e.org/"})
+
+
+def test_dsl_writer_round_trips_or_raises_on_adversarial_iris():
+    rng = random.Random(47)
+    prefixes = {"e": "http://e.org/", "t": TEST_NS}
+    tails = ["#x", ",y", "{", "}", ">", " z", "a>b", "-ok"]
+    heads = ["e:", "t:", "e:t:", "http://e.org/", TEST_NS]
+
+    def adversarial(iri):
+        roll = rng.random()
+        if roll < 0.3:
+            return iri
+        if roll < 0.6:
+            return Iri(iri.value + rng.choice(tails))
+        return Iri(rng.choice(heads) + rng.choice(["x", "y,z", "w#", "v{}"]))
+
+    outcomes = []
+    for _ in range(60):
+        graph = random_multi_predicate_graph(rng, rng.randint(4, 10), rng.randint(4, 20))
+        grammar = random_grammar(rng, graph)
+        contexts = {}
+        for cid, ctx in grammar.contexts.items():
+            rules = tuple(
+                Traverse(tuple(replace(e, predicate=adversarial(e.predicate)) for e in rule.edges))
+                if isinstance(rule, Traverse)
+                else rule
+                for rule in ctx.rules
+            )
+            contexts[cid] = replace(ctx, for_resource=adversarial(ctx.for_resource), rules=rules)
+        grammar = Grammar(contexts, grammar.entry, grammar.exit)
+        try:
+            text = serialize_grammar_dsl(grammar, prefixes)
+        except GrammarLoadError:
+            outcomes.append("raised")
+            continue
+        assert parse_grammar_dsl(text) == grammar
+        outcomes.append("round trip")
+    assert set(outcomes) == {"raised", "round trip"}
+
+
 # -- triple encoding -----------------------------------------------------------------
 
 
@@ -252,6 +308,26 @@ def test_grammar_graph_rule_sequence_must_run_from_one_once_each(member, indexes
     )
     with pytest.raises(GrammarLoadError, match=re.escape(message)):
         load_grammar_from_triples(load_ntriples(text))
+
+
+def test_grammar_graph_with_two_rule_sequences_rejected():
+    # the entry's traverse rule moved into a second sequence; joined in
+    # set order, the two would load under some hash seeds and not others
+    text = read_fixture("researcher_path_grammar.nt").replace(
+        "psi:rules_0 rdf:_2 psi:traverse_0 .",
+        "psi:johan_0 rwr:hasRules psi:rules_0b .\n"
+        "psi:rules_0b rdf:type rdf:Seq .\n"
+        "psi:rules_0b rdf:_1 psi:traverse_0 .",
+    )
+    message = "context johan_0 has 2 rule sequences, at most one allowed"
+    with pytest.raises(GrammarLoadError, match=re.escape(message)):
+        load_grammar_from_triples(load_ntriples(text))
+
+
+def test_grammar_graph_context_without_rules_loads():
+    text = read_fixture("researcher_path_grammar.nt").replace("psi:norman_4 rwr:hasRules psi:rules_4 .", "")
+    grammar = load_grammar_from_triples(load_ntriples(text), validate=False)
+    assert grammar.contexts["norman_4"].rules == ()
 
 
 # -- the unconstrained shape ----------------------------------------------------------
