@@ -326,7 +326,7 @@ def test_grammar_graph_with_two_rule_sequences_rejected():
 
 def test_grammar_graph_context_without_rules_loads():
     text = read_fixture("researcher_path_grammar.nt").replace("psi:norman_4 rwr:hasRules psi:rules_4 .", "")
-    grammar = load_grammar_from_triples(load_ntriples(text), validate=False)
+    grammar = load_grammar_from_triples(load_ntriples(text))
     assert grammar.contexts["norman_4"].rules == ()
 
 
