@@ -8,7 +8,8 @@ import pytest
 
 from geograms import cli, metrics, parse_grammar_dsl
 from geograms.encoding import decode_paths, p_encoded_metric
-from geograms.store import RESULT_NS, Iri, load_ntriples
+from geograms.errors import ParseError
+from geograms.store import RDFS_NS, RESULT_NS, Blank, Iri, load_ntriples
 
 from conftest import FIXTURES, lanl, read_fixture
 
@@ -99,6 +100,55 @@ def test_bracketed_vertex_without_scheme_slashes_resolves_as_written(capsys, tmp
     code, _, err = run_cli(capsys, *argv, "--vertex", "urn:a")
     assert code == 1
     assert "unknown prefix" in err
+
+
+JOHAN = lanl("johan")
+
+
+# every way a resource may be written on the command line; ``readers``
+# names the file formats that read the same text as the same resource
+@pytest.mark.parametrize(
+    "written, expected, readers",
+    [
+        ("lanl:johan", JOHAN, {"nt", "dsl"}),
+        ("<lanl:johan>", JOHAN, {"nt", "dsl"}),
+        ("<http://www.lanl.gov#johan>", JOHAN, {"nt", "dsl"}),
+        ("http://www.lanl.gov#johan", JOHAN, set()),
+        ("rdfs:Resource", Iri(RDFS_NS + "Resource"), set()),
+        ("rwrx:grammar_0", Iri(RESULT_NS + "grammar_0"), set()),
+        ("_:b", Blank("b"), {"nt"}),
+        ("<>", None, set()),
+        ("nope:x", None, set()),
+    ],
+    ids=["prefixed", "bracketed-prefixed", "bracketed", "bare-iri", "builtin-rdfs",
+         "builtin-rwrx", "blank", "empty", "unknown-prefix"],
+)
+def test_every_written_name_form_resolves_as_in_the_files(capsys, written, expected, readers):
+    graph = load_ntriples(read_fixture("social.nt"))
+    if expected is None:
+        code, out, err = run_cli(
+            capsys,
+            "metric", *graph_args(), "--grammar", str(FIXTURES / "any_path.pg"),
+            "--metric", "eccentricity", "--vertex", written,
+        )
+        assert (code, out) == (1, "")
+        assert "usage error: cannot resolve resource" in err
+        return
+    assert cli._resolve_token(written, graph) == expected
+    declared = "@prefix lanl: <http://www.lanl.gov#> .\n"
+    read = {
+        "nt": lambda: next(iter(load_ntriples(f"{declared}{written} lanl:p lanl:o .\n").triples)).subject,
+        "dsl": lambda: parse_grammar_dsl(
+            f"{declared}context a entry for {written} {{\n  pathcount 0\n  traverse out lanl:p -> b\n}}\n"
+            "context b exit for lanl:o {\n  pathcount 0\n}\n"
+        ).entry_context.for_resource,
+    }
+    for reader, resource in read.items():
+        if reader in readers:
+            assert resource() == expected
+        else:
+            with pytest.raises(ParseError):
+                resource()
 
 
 def test_metric_requires_vertex_for_eccentricity(capsys):
