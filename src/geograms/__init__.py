@@ -58,7 +58,6 @@ from .metrics import (
     unlabeled_oracle_geodesics,
 )
 from .encoding import (
-    PathVocabulary,
     decode_paths,
     encode_paths,
     min_segments,

@@ -35,12 +35,14 @@ from .grammar import (
 from .store import (
     RDF_NS,
     RDFS_NS,
+    RDFS_RESOURCE,
     RESULT_NS,
     XSD_NS,
     Blank,
     Graph,
     Iri,
     Resource,
+    expand_name,
     load_ntriples,
     resource_key,
 )
@@ -172,21 +174,18 @@ def _load_grammar(path: str, fmt: str | None, validate: bool = True) -> Grammar:
 
 
 def _resolve_token(token: str, graph: Graph) -> Resource:
-    # as in load_ntriples, a known prefix is expanded even inside brackets,
-    # and any other bracketed IRI is taken as written
+    # expand_name reads the name, a prefix the graph declares winning over a
+    # built-in one; _:id names a blank node, and a bare name with :// is kept
     bracketed = token.startswith("<") and token.endswith(">")
     if bracketed:
         token = token[1:-1]
     if token.startswith("_:"):
         return Blank(token[2:])
-    head, sep, local = token.partition(":")
-    if sep and head in graph.prefix_map:
-        return Iri(graph.prefix_map[head] + local)
-    if sep and head in BUILTIN_PREFIXES:
-        return Iri(BUILTIN_PREFIXES[head] + local)
-    if (bracketed and token) or "://" in token:
-        return Iri(token)
-    raise _UsageError(f"cannot resolve resource {token!r}: unknown prefix")
+    as_written = bool(bracketed and token) or "://" in token
+    iri = expand_name(token, {**BUILTIN_PREFIXES, **graph.prefix_map}, as_written)
+    if iri is None:
+        raise _UsageError(f"cannot resolve resource {token!r}: unknown prefix")
+    return Iri(iri)
 
 
 def _universe(args, graph: Graph, default) -> list:
@@ -296,6 +295,8 @@ def _cmd_oracle_check(args) -> int:
     projection = metrics.project_to_unlabeled(graph)
     universe = _universe(args, graph, projection.vertices)
 
+    # one grammar, rebound to each pair as every metric does
+    paths = metrics.WalkerPaths(projection, unconstrained_grammar(RDFS_RESOURCE, RDFS_RESOURCE), args.max_steps)
     mismatches = []
     checked = 0
     for source in universe:
@@ -304,10 +305,7 @@ def _cmd_oracle_check(args) -> int:
                 continue
             checked += 1
             expected = metrics.unlabeled_oracle_geodesics(graph, source, target)
-            result = metrics.shortest_path(
-                projection, unconstrained_grammar(source, target), args.max_steps
-            )
-            actual = result.value if result.defined else None
+            actual = paths.distance(source, target)
             if actual != expected:
                 mismatches.append(
                     {

@@ -8,9 +8,12 @@ single scan.  Once a store holds the paths for every endpoint pair of
 interest, every geodesic metric can be answered from queries alone,
 without ever running a walker again.
 
-``_decode_record`` is the only reader of a stored path: it takes the
-segments in order from ``Graph.sequence``, which rejects memberships that
-do not run ``rdf:_1`` ... ``rdf:_n`` once each, and checks every segment.
+The encoding's IRIs are module constants in the ``RWR_*`` style of the
+grammar encoding, which owns the one term both share, ``rwr:hasPredicate``;
+``store.membership`` writes each ``rdf:_k``.  ``_decode_record`` is the
+only reader of a stored path: it takes the segments in order from
+``Graph.sequence``, which rejects memberships that do not run ``rdf:_1``
+... ``rdf:_n`` once each, and checks every segment.
 
 A store may hold the results of many endpoint pairs under one or more
 grammar identifiers.  The first read for a grammar decodes each of its
@@ -28,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 from .engine import PathRecord, PathStep
 from .errors import IncompleteStoreError, ValidationError
-from .grammar import RWR_NS, Direction
+from .grammar import RWR_HAS_PREDICATE, RWR_NS, Direction
 from .metrics import MetricKind, MetricResult, fold
 from .store import (
     RDF_NS,
@@ -39,28 +42,20 @@ from .store import (
     Literal,
     Resource,
     Triple,
+    membership,
     resource_key,
 )
 
 
-@dataclass(frozen=True)
-class PathVocabulary:
-    """The IRIs used by the path encoding, named in one place."""
-
-    geodesic_walker: Iri = Iri(RWR_NS + "GeodesicWalker")
-    uses_grammar: Iri = Iri(RWR_NS + "usesGrammar")
-    has_qpath: Iri = Iri(RWR_NS + "hasQPath")
-    path_type: Iri = Iri(RWR_NS + "Path")
-    segment_type: Iri = Iri(RWR_NS + "Segment")
-    has_vertex: Iri = Iri(RWR_NS + "hasVertex")
-    has_predicate: Iri = Iri(RWR_NS + "hasPredicate")
-    has_direction: Iri = Iri(RWR_NS + "hasDirection")
-
-    def membership(self, index: int) -> Iri:
-        return Iri(f"{RDF_NS}_{index}")
-
-
-VOCAB = PathVocabulary()
+# Vocabulary of the path encoding, beside the grammar encoding's own
+# ``RWR_*`` terms; a segment's predicate is ``grammar.RWR_HAS_PREDICATE``.
+RWR_GEODESIC_WALKER = Iri(RWR_NS + "GeodesicWalker")
+RWR_USES_GRAMMAR = Iri(RWR_NS + "usesGrammar")
+RWR_HAS_QPATH = Iri(RWR_NS + "hasQPath")
+RWR_PATH = Iri(RWR_NS + "Path")
+RWR_SEGMENT = Iri(RWR_NS + "Segment")
+RWR_HAS_VERTEX = Iri(RWR_NS + "hasVertex")
+RWR_HAS_DIRECTION = Iri(RWR_NS + "hasDirection")
 
 _DIRECTION_LITERALS = {Direction.FORWARD: Literal("+"), Direction.BACKWARD: Literal("-")}
 _LITERAL_DIRECTIONS = {"+": Direction.FORWARD, "-": Direction.BACKWARD}
@@ -84,19 +79,19 @@ def encode_paths(records: Iterable, grammar_id: Resource, walker_ids: Sequence[i
     for record, wid in zip(ordered, walker_ids):
         walker_node = Iri(f"{RESULT_NS}walker_{wid}")
         path_node = Iri(f"{RESULT_NS}path_{wid}")
-        triples.append(Triple(walker_node, RDF_TYPE, VOCAB.geodesic_walker))
-        triples.append(Triple(walker_node, VOCAB.uses_grammar, grammar_id))
-        triples.append(Triple(walker_node, VOCAB.has_qpath, path_node))
-        triples.append(Triple(path_node, RDF_TYPE, VOCAB.path_type))
+        triples.append(Triple(walker_node, RDF_TYPE, RWR_GEODESIC_WALKER))
+        triples.append(Triple(walker_node, RWR_USES_GRAMMAR, grammar_id))
+        triples.append(Triple(walker_node, RWR_HAS_QPATH, path_node))
+        triples.append(Triple(path_node, RDF_TYPE, RWR_PATH))
         for index, step in enumerate(record.steps, start=1):
             segment = Iri(f"{RESULT_NS}segment_{wid}_{index}")
-            triples.append(Triple(path_node, VOCAB.membership(index), segment))
-            triples.append(Triple(segment, RDF_TYPE, VOCAB.segment_type))
-            triples.append(Triple(segment, VOCAB.has_vertex, step.vertex))
+            triples.append(Triple(path_node, membership(index), segment))
+            triples.append(Triple(segment, RDF_TYPE, RWR_SEGMENT))
+            triples.append(Triple(segment, RWR_HAS_VERTEX, step.vertex))
             if step.predicate is not None:
-                triples.append(Triple(segment, VOCAB.has_predicate, step.predicate))
+                triples.append(Triple(segment, RWR_HAS_PREDICATE, step.predicate))
                 triples.append(
-                    Triple(segment, VOCAB.has_direction, _DIRECTION_LITERALS[step.direction])
+                    Triple(segment, RWR_HAS_DIRECTION, _DIRECTION_LITERALS[step.direction])
                 )
     prefixes = {"rwr": RWR_NS, "rwrx": RESULT_NS, "rdf": RDF_NS}
     return Graph(triples, prefixes)
@@ -106,7 +101,7 @@ def _decode_record(store: Graph, path_node: Resource) -> PathRecord:
     """The record stored under ``path_node``; the only reader of a stored path's segments."""
     steps = []
     for segment in store.sequence(path_node):
-        found = {VOCAB.has_vertex: [], VOCAB.has_predicate: [], VOCAB.has_direction: []}
+        found = {RWR_HAS_VERTEX: [], RWR_HAS_PREDICATE: [], RWR_HAS_DIRECTION: []}
         for t in store.outgoing(segment):
             if t.predicate in found:
                 found[t.predicate].append(t.object)
@@ -126,11 +121,11 @@ def _decode_record(store: Graph, path_node: Resource) -> PathRecord:
 
 
 def _paths_for_grammar(store: Graph, grammar_id: Optional[Resource]):
-    for t in sorted(store.match((None, RDF_TYPE, VOCAB.geodesic_walker)), key=lambda x: resource_key(x.subject)):
+    for t in sorted(store.match((None, RDF_TYPE, RWR_GEODESIC_WALKER)), key=lambda x: resource_key(x.subject)):
         walker = t.subject
-        if grammar_id is not None and not store.match((walker, VOCAB.uses_grammar, grammar_id)):
+        if grammar_id is not None and not store.match((walker, RWR_USES_GRAMMAR, grammar_id)):
             continue
-        for qp in store.match((walker, VOCAB.has_qpath, None)):
+        for qp in store.match((walker, RWR_HAS_QPATH, None)):
             yield qp.object
 
 
@@ -251,7 +246,7 @@ def p_encoded_metric(
     ``target``.
     """
     # stops at the first walker of the grammar, where a match would collect them all
-    if not any(t.predicate == VOCAB.uses_grammar for t in store.incoming(grammar_id)):
+    if not any(t.predicate == RWR_USES_GRAMMAR for t in store.incoming(grammar_id)):
         raise IncompleteStoreError(
             f"store holds no paths for grammar {grammar_id!r}",
             missing_pairs=[(source, target)] if source or target else [],

@@ -179,7 +179,9 @@ class GraphIndex:
     may share one index.
     """
 
-    __slots__ = ("graph", "vertices", "vertex_id", "moves", "_predicates", "_predicate_id", "_memos", "_rules")
+    __slots__ = (
+        "graph", "vertices", "vertex_id", "moves", "_predicates", "_predicate_id", "_admissible", "_admitted", "_rules"
+    )
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -189,7 +191,14 @@ class GraphIndex:
         self._predicate_id = {p: i for i, p in enumerate(self._predicates)}
         self.moves = _Memo(self._visit)
         self.moves[-1] = ([], {}, [], [], [])
-        self._memos = _Memo(self._admission)
+        below, predicates = graph.is_subproperty_or_equal, self._predicates
+        typed, vertices = graph.has_type_or_equal, self.vertices
+        # wanted predicate -> (predicate id -> whether it is the wanted one or below it)
+        self._admissible = _Memo(lambda wanted: _Memo(lambda pid: below(predicates[pid], wanted)))
+        # wanted resource -> (vertex id -> the vertex's specificity for it, None where not admitted)
+        self._admitted = _Memo(lambda wanted: _Memo(
+            lambda vid: _specificity(vertices[vid], wanted) if typed(vertices[vid], wanted) else None
+        ))
         self._rules = (None, {})
 
     def _visit(self, vid: int) -> tuple:
@@ -218,28 +227,6 @@ class GraphIndex:
         get = self.vertex_id.get
         return tuple(get(step.vertex, -1) for step in walker.trail)
 
-    def admissible(self, wanted: Iri) -> "_Memo | None":
-        """Predicate id -> whether it is ``wanted`` or below it; None under the wildcard."""
-        return None if wanted == RDFS_RESOURCE else self._memos["predicate", wanted]
-
-    def admitted(self, wanted: Resource) -> "_Memo":
-        """Vertex id -> specificity of that vertex for ``wanted``, None where it is not admitted."""
-        return self._memos["resource", wanted]
-
-    def _admission(self, key: tuple) -> "_Memo":
-        """The memo of one admission check; ``_memos`` calls this on the check's first use."""
-        kind, wanted = key
-        if kind == "predicate":
-            below, predicates = self.graph.is_subproperty_or_equal, self._predicates
-            return _Memo(lambda pid: below(predicates[pid], wanted))
-        typed, vertices = self.graph.has_type_or_equal, self.vertices
-
-        def specificity(vid: int) -> int | None:
-            vertex = vertices[vid]
-            return _specificity(vertex, wanted) if typed(vertex, wanted) else None
-
-        return _Memo(specificity)
-
     def resolve(self, grammar: Grammar, rule: Traverse) -> tuple:
         """The ``_Spec`` of every edge spec of ``rule``.
 
@@ -258,8 +245,8 @@ class GraphIndex:
         far = grammar.contexts[spec.far_context]
         return _Spec(
             spec.direction is Direction.BACKWARD,
-            self.admissible(spec.predicate),
-            self.admitted(far.for_resource),
+            None if spec.predicate == RDFS_RESOURCE else self._admissible[spec.predicate],
+            self._admitted[far.for_resource],
             tuple(a.step for a in far.attributes if isinstance(a, Is)),
             tuple(a.step for a in far.attributes if isinstance(a, Not)),
             far.has_not_ever,

@@ -24,6 +24,7 @@ from .store import (
     Iri,
     Literal,
     Resource,
+    expand_name,
     resource_key,
 )
 
@@ -317,17 +318,12 @@ class _DslParser:
             self.index += 1
         return None
 
-    def resolve(self, token: str) -> Resource:
-        if token.startswith("<") and token.endswith(">"):
-            raw = token[1:-1]
-            head, sep, local = raw.partition(":")
-            if sep and head in self.prefix_map:
-                return Iri(self.prefix_map[head] + local)
-            return Iri(raw)
-        head, sep, local = token.partition(":")
-        if sep and head in self.prefix_map:
-            return Iri(self.prefix_map[head] + local)
-        raise self.error(f"cannot resolve resource {token!r} (unknown prefix)")
+    def resolve(self, token: str) -> Iri:
+        bracketed = token.startswith("<") and token.endswith(">")
+        iri = expand_name(token[1:-1] if bracketed else token, self.prefix_map, bracketed)
+        if iri is None:
+            raise self.error(f"cannot resolve resource {token!r} (unknown prefix)")
+        return Iri(iri)
 
     def parse(self) -> list[GrammarContext]:
         contexts = []
@@ -366,13 +362,10 @@ class _DslParser:
 
         rules: list[Rule] = []
         attributes: set = set()
-        while True:
-            line = self.next_line()
+        # a line is passed only once read, so an error names the line it is on
+        while (line := self.next_line()) != "}":
             if line is None:
                 raise self.error(f"context {ctx_id!r} is missing its closing brace")
-            self.index += 1
-            if line == "}":
-                break
             word, _, rest = line.partition(" ")
             rest = rest.strip()
             if word == "pathcount":
@@ -389,6 +382,8 @@ class _DslParser:
                 rules.append(Traverse(self.parse_edges(rest)))
             else:
                 raise self.error(f"unknown rule or attribute {word!r}")
+            self.index += 1
+        self.index += 1
         return GrammarContext(ctx_id, kind, for_resource, tuple(rules), frozenset(attributes))
 
     def _nat(self, text: str) -> int:
@@ -403,12 +398,7 @@ class _DslParser:
             if not m:
                 raise self.error(f"malformed traverse edge {part.strip()!r}")
             direction = Direction.FORWARD if m.group(1) == "out" else Direction.BACKWARD
-            predicate = self.resolve(m.group(2))
-            if not isinstance(predicate, Iri):
-                raise self.error("traverse predicate must be an IRI")
-            edges.append(EdgeSpec(direction, predicate, m.group(3)))
-        if not edges:
-            raise self.error("traverse requires at least one edge")
+            edges.append(EdgeSpec(direction, self.resolve(m.group(2)), m.group(3)))
         return tuple(edges)
 
 
@@ -481,14 +471,13 @@ def _attribute_key(attr: Attribute) -> tuple:
 
 
 def _local_name(resource: Resource) -> str:
+    """A context node's id; the node is a triple subject, so an IRI or a blank node."""
     if isinstance(resource, Iri):
         value = resource.value
         for sep in ("#", "/"):
             if sep in value:
                 return value.rsplit(sep, 1)[1]
         return value
-    if isinstance(resource, Literal):
-        return resource.lexical
     return resource.local_id
 
 

@@ -10,7 +10,9 @@ may share a graph.
 
 ``Graph.sequence`` is the only reader of ordered members, a node's
 ``rdf:_1`` ... ``rdf:_n`` triples; RDF puts no condition on their indexes,
-so it checks that they run 1..n, each once.
+so it checks that they run 1..n, each once.  ``membership`` writes each
+``rdf:_k`` and ``membership_index`` reads k back.  ``expand_name`` is the
+one rule for written names, in graph files, DSL text and CLI arguments.
 
 Subsumption checks run either against the transitive closure of
 ``rdfs:subClassOf`` / ``rdfs:subPropertyOf`` (the default), built into
@@ -118,6 +120,11 @@ class Triple:
 
     def __hash__(self):
         return self._hash
+
+
+def membership(index: int) -> Iri:
+    """The ``rdf:_k`` container membership property for k = ``index``."""
+    return Iri(f"{RDF_NS}_{index}")
 
 
 def membership_index(predicate: Iri) -> int | None:
@@ -441,26 +448,33 @@ def _token_error(text: str, pos: int, line_no: int) -> ParseError:
     return ParseError(message, line=line_no, column=pos + 1)
 
 
-def _expand(raw: str, prefix_map: dict, bracketed: bool, line_no: int, end: int) -> str:
-    """Resolve a possibly prefixed name, read up to column ``end``, to a full IRI string."""
+def expand_name(raw: str, prefix_map: Mapping[str, str], bracketed: bool) -> str | None:
+    """The IRI the name ``raw``, written with angle brackets if ``bracketed``, stands for.
+
+    A declared prefix expands, even inside brackets; any other bracketed
+    name is taken as written, and a bare one gives None.
+    """
     head, sep, local = raw.partition(":")
     if sep and head in prefix_map:
         return prefix_map[head] + local
-    if bracketed:
-        return raw
-    raise ParseError(f"unknown prefix {head!r} in {raw!r}", line=line_no, column=end + 1)
+    return raw if bracketed else None
 
 
 def _term(kind: str, value, prefix_map: dict, line_no: int, end: int) -> Resource:
-    if kind == "iri" or kind == "word":
-        return Iri(_expand(value, prefix_map, kind == "iri", line_no, end))
+    """The term of a token read up to column ``end``."""
     if kind == "blank":
         return Blank(value)
-    lexical, datatype = value
-    if datatype is None:
-        return Literal(lexical)
-    dkind, dvalue = datatype
-    return Literal(lexical, _expand(dvalue, prefix_map, dkind == "iri", line_no, end))
+    lexical = None
+    if kind == "literal":
+        lexical, datatype = value
+        if datatype is None:
+            return Literal(lexical)
+        kind, value = datatype
+    iri = expand_name(value, prefix_map, kind == "iri")
+    if iri is None:
+        head = value.partition(":")[0]
+        raise ParseError(f"unknown prefix {head!r} in {value!r}", line=line_no, column=end + 1)
+    return Iri(iri) if lexical is None else Literal(lexical, iri)
 
 
 def _prefix_declaration(line: str, line_no: int) -> tuple:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from geograms.encoding import (
-    VOCAB,
+    RWR_USES_GRAMMAR,
     decode_paths,
     encode_paths,
     min_segments,
@@ -230,7 +230,7 @@ def test_criterion_6_p_encoding_round_trip(social_graph, researcher_grammar, any
             continue
         grammar_id = Iri(f"http://example.org/t#gr{checked}")
         store = build_pair_store(graph, grammar, universe, grammar_id)
-        if not store.match((None, VOCAB.uses_grammar, grammar_id)):
+        if not store.match((None, RWR_USES_GRAMMAR, grammar_id)):
             # no pair of this case yields any path; nothing to round-trip
             continue
         _assert_store_matches_direct(graph, grammar, universe, grammar_id, store)

@@ -66,6 +66,19 @@ def test_metric_text_output(capsys):
     assert out.splitlines()[0] == "shortest-path = 2"
 
 
+def test_metric_text_output_counts_skipped_targets(capsys, tmp_path):
+    graph = tmp_path / "two_components.nt"
+    graph.write_text("@prefix ex: <http://example.org/t#> .\nex:a ex:p ex:b .\nex:x ex:p ex:y .\n")
+    code, out, _ = run_cli(
+        capsys,
+        "metric", "--graph", str(graph), "--grammar", str(FIXTURES / "any_path.pg"),
+        "--metric", "eccentricity", "--vertex", "ex:a",
+        "--vertices", "ex:a", "--vertices", "ex:b", "--vertices", "ex:x",
+    )
+    assert code == 0
+    assert out.splitlines() == ["eccentricity = 1", "skipped targets: 1"]
+
+
 def test_metric_with_vertex_universe(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -181,3 +181,21 @@ def test_oracle_check_projects_the_graph_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["pairs"] > 2
     assert len(calls) == 1
+
+
+def test_oracle_check_builds_one_grammar(capsys, monkeypatch):
+    # every pair rebinds the one unconstrained grammar, as a metric does
+    calls = []
+    real_unconstrained_grammar = cli.unconstrained_grammar
+
+    def counting(*args):
+        calls.append(args)
+        return real_unconstrained_grammar(*args)
+
+    monkeypatch.setattr(cli, "unconstrained_grammar", counting)
+    code, out, _ = run_cli(
+        capsys, "oracle-check", "--graph", str(FIXTURES / "social.nt"), "--output", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"pairs": 20, "mismatches": []}
+    assert len(calls) == 1

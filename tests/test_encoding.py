@@ -4,7 +4,9 @@ import re
 import pytest
 
 from geograms.encoding import (
-    VOCAB,
+    RWR_HAS_DIRECTION,
+    RWR_HAS_VERTEX,
+    RWR_USES_GRAMMAR,
     StorePaths,
     decode_paths,
     encode_paths,
@@ -27,7 +29,17 @@ from geograms.metrics import (
     radius,
     shortest_path,
 )
-from geograms.store import RDF_NS, Graph, Iri, Triple, load_ntriples, membership_index
+from geograms.store import (
+    RDF_NS,
+    RESULT_NS,
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+    load_ntriples,
+    membership,
+    membership_index,
+)
 
 from conftest import lanl, read_fixture
 from oracles import (
@@ -64,7 +76,7 @@ def two_path_store():
 
 def test_encode_segments_and_largest_membership(two_path_store):
     # the two-edge record carries exactly rdf:_1 .. rdf:_3
-    walkers = two_path_store.match((None, VOCAB.uses_grammar, GRAMMAR_ID))
+    walkers = two_path_store.match((None, RWR_USES_GRAMMAR, GRAMMAR_ID))
     assert len(walkers) == 2
     memberships = {}
     for triple in two_path_store.triples:
@@ -110,12 +122,31 @@ def test_decode_rejects_membership_gaps(two_path_store):
         decode_paths(broken)
 
 
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        (RWR_HAS_VERTEX, None, "must carry exactly one vertex"),
+        (None, (RWR_HAS_VERTEX, lanl("jhw")), "must carry exactly one vertex"),
+        (RWR_HAS_DIRECTION, None, "must carry one predicate and one direction"),
+        (RWR_HAS_DIRECTION, (RWR_HAS_DIRECTION, Literal("?")), 'has unknown direction "?"'),
+    ],
+    ids=["no-vertex", "two-vertices", "predicate-without-direction", "unknown-direction"],
+)
+def test_decode_rejects_malformed_segments(two_path_store, drop, add, message):
+    segment = Iri(RESULT_NS + "segment_0_2")
+    triples = {tr for tr in two_path_store.triples if (tr.subject, tr.predicate) != (segment, drop)}
+    if add is not None:
+        triples.add(Triple(segment, *add))
+    with pytest.raises(ValidationError, match=re.escape(f"segment {segment!r} {message}")):
+        decode_paths(Graph(triples))
+
+
 def test_store_reads_reject_membership_gaps():
     # the last segment of a two-edge path moved from rdf:_3 to rdf:_5
     store = encode_paths([SHORT_RECORD], GRAMMAR_ID, [0])
     gapped = Graph(
         (
-            Triple(tr.subject, VOCAB.membership(5), tr.object)
+            Triple(tr.subject, membership(5), tr.object)
             if membership_index(tr.predicate) == 3
             else tr
             for tr in store.triples
@@ -137,7 +168,7 @@ def test_store_reads_reject_a_repeated_membership():
     store = encode_paths([SHORT_RECORD], GRAMMAR_ID, [0])
     repeated = Graph(
         (
-            Triple(tr.subject, VOCAB.membership(2), tr.object)
+            Triple(tr.subject, membership(2), tr.object)
             if membership_index(tr.predicate) == 3
             else tr
             for tr in store.triples

@@ -572,6 +572,12 @@ def test_subsumption_mode_changes_traversal():
     assert run(single_hop, grammar, RunMode.ALL_PATHS, 10) == frozenset()
 
 
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_run_rejects_max_steps_below_one(social_graph, researcher_grammar, max_steps):
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        run(social_graph, researcher_grammar, RunMode.ALL_PATHS, max_steps)
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_run_rejects_workers_below_one(social_graph, researcher_grammar, workers):
     with pytest.raises(ValueError):

@@ -98,6 +98,28 @@ def test_two_entries_rejected():
         parse_grammar_dsl(bad)
 
 
+@pytest.mark.parametrize(
+    "old, new, error, message, line",
+    [
+        ("@prefix ex:", "@prefix ex", ParseError, "malformed @prefix declaration", 2),
+        ("}\ncontext b", "}\nrule x\ncontext b", ParseError, "expected 'context' or '@prefix', got 'rule'", 7),
+        ("  pathcount 0\n}\n", "  pathcount 0\n", ParseError, "context 'b' is missing its closing brace", 9),
+        ("for ex:end {\n", "for ex:end {\n  notever 1\n", ParseError, "notever takes no argument", 8),
+        ("0\n  traverse", "0\n  jump 1\n  traverse", ParseError, "unknown rule or attribute 'jump'", 5),
+        ("pathcount 0\n  traverse", "pathcount -1\n  traverse", ParseError, "expected a natural number, got '-1'", 4),
+        ("context b exit", "context a exit", GrammarLoadError, "duplicate context id 'a'", None),
+    ],
+    ids=["malformed-prefix", "top-level-word", "missing-brace", "notever-argument", "unknown-rule",
+         "step-not-natural", "duplicate-context-id"],
+)
+def test_dsl_errors(old, new, error, message, line):
+    assert old in MINIMAL
+    with pytest.raises(error, match=re.escape(message)) as info:
+        parse_grammar_dsl(MINIMAL.replace(old, new))
+    if line is not None:
+        assert info.value.line == line
+
+
 # -- validator -------------------------------------------------------------------
 
 
@@ -137,6 +159,22 @@ def test_entry_without_pathcount_is_an_error():
     bad = MINIMAL.replace("pathcount 0\n  traverse", "traverse", 1)
     grammar = parse_grammar_dsl(bad, validate=False)
     assert any("pathcount" in v.message for v in validate_grammar(grammar))
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ("traverse out ex:p -> b\n  traverse out ex:p -> b", "context carries more than one traverse rule"),
+        ("traverse out ex:p -> b\n  pathcount 1", "traverse must be the last rule of a context"),
+    ],
+    ids=["two-traverses", "traverse-not-last"],
+)
+def test_misplaced_traverse_is_an_error(rules, message):
+    bad = MINIMAL.replace("traverse out ex:p -> b", rules, 1)
+    grammar = parse_grammar_dsl(bad, validate=False)
+    assert [(v.severity, v.context_id, v.message) for v in validate_grammar(grammar)] == [("error", "a", message)]
+    with pytest.raises(GrammarLoadError, match=f"invalid grammar: a: {message}"):
+        parse_grammar_dsl(bad)
 
 
 def test_loads_reject_invalid_but_warnings_pass():
@@ -308,6 +346,57 @@ def test_grammar_graph_rule_sequence_must_run_from_one_once_each(member, indexes
     )
     with pytest.raises(GrammarLoadError, match=re.escape(message)):
         load_grammar_from_triples(load_ntriples(text))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("Context .", "Thing .", "no context resources found in grammar graph"),
+        (
+            'psi:pathcount_0 rwr:step "0"^^xsd:int', "psi:pathcount_0 rwr:step psi:zero",
+            "pathcount rule of johan_0: step of <http://www.lanl.gov/psi#pathcount_0> must be a literal",
+        ),
+        (
+            'psi:pathcount_0 rwr:step "0"^^xsd:int', 'psi:pathcount_0 rwr:step "zero"',
+            "pathcount rule of johan_0: step 'zero' is not an integer",
+        ),
+        (
+            "psi:edge_0a rdf:type rwr:OutEdge", "psi:edge_0a rdf:type rwr:Edge",
+            "edge <http://www.lanl.gov/psi#edge_0a> of johan_0 has no in/out typing",
+        ),
+        (
+            "psi:edge_0a rwr:hasPredicate lanl:hasFriend", 'psi:edge_0a rwr:hasPredicate "hasFriend"',
+            "edge predicate of johan_0 must be an IRI",
+        ),
+        (
+            "psi:edge_0a rwr:hasObject psi:Human_1", "psi:edge_0a rwr:hasObject psi:Nobody",
+            "edge of johan_0 targets <http://www.lanl.gov/psi#Nobody>, which is not a declared context",
+        ),
+        ("psi:traverse_1 rwr:hasEdge psi:edge_1a .", "", "traverse rule of Human_1 carries no edges"),
+        (
+            "psi:pathcount_0 rdf:type rwr:PathCount .", "",
+            "rule <http://www.lanl.gov/psi#pathcount_0> of johan_0 has no recognized type",
+        ),
+        (
+            "psi:notever_1 rdf:type rwr:NotEver .", "",
+            "attribute <http://www.lanl.gov/psi#notever_1> of Human_1 has no recognized type",
+        ),
+    ],
+    ids=["no-contexts", "step-not-literal", "step-not-integer", "edge-untyped", "edge-predicate-literal",
+         "edge-to-undeclared-context", "traverse-without-edges", "rule-untyped", "attribute-untyped"],
+)
+def test_grammar_graph_load_errors(old, new, message):
+    text = read_fixture("researcher_path_grammar.nt")
+    assert old in text
+    with pytest.raises(GrammarLoadError, match=re.escape(message)):
+        load_grammar_from_triples(load_ntriples(text.replace(old, new)))
+
+
+def test_grammar_graph_loads_a_not_attribute():
+    text = read_fixture("researcher_path_grammar.nt").replace("psi:is_3 rdf:type rwr:Is .", "psi:is_3 rdf:type rwr:Not .")
+    loaded = load_grammar_from_triples(load_ntriples(text))
+    assert loaded.contexts["Human_3"].attributes == frozenset({Not(2)})
+    assert loaded == parse_grammar_dsl(read_fixture("researcher_path.pg").replace("is 2", "not 2"))
 
 
 def test_grammar_graph_with_two_rule_sequences_rejected():

@@ -4,13 +4,16 @@ import pytest
 
 from geograms.grammar import rebind_endpoints, unconstrained_grammar
 from geograms.metrics import (
+    VERTEX_KINDS,
     MetricKind,
+    WalkerPaths,
     betweenness,
     closeness,
     default_universe,
     degree,
     diameter,
     eccentricity,
+    fold,
     project_to_unlabeled,
     radius,
     shortest_path,
@@ -137,6 +140,12 @@ def test_radius_and_diameter_on_k4():
     vertices = K4.vertices()
     assert radius(K4, G2_SHAPE, vertices).value == 1
     assert diameter(K4, G2_SHAPE, vertices).value == 1
+
+
+@pytest.mark.parametrize("kind", sorted(VERTEX_KINDS, key=lambda k: k.value), ids=lambda k: k.value)
+def test_vertex_metric_needs_a_source(projection, kind):
+    with pytest.raises(ValueError, match=f"{kind.value} needs a source vertex"):
+        fold(kind, WalkerPaths(projection, G2_SHAPE), HUMANS)
 
 
 def test_radius_requires_two_vertices():
