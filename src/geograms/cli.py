@@ -176,11 +176,11 @@ def _load_grammar(path: str, fmt: str | None, validate: bool = True) -> Grammar:
 def _resolve_token(token: str, graph: Graph) -> Resource:
     # expand_name reads the name, a prefix the graph declares winning over a
     # built-in one; _:id names a blank node, and a bare name with :// is kept
+    if token.startswith("_:"):
+        return Blank(token[2:])
     bracketed = token.startswith("<") and token.endswith(">")
     if bracketed:
         token = token[1:-1]
-    if token.startswith("_:"):
-        return Blank(token[2:])
     as_written = bool(bracketed and token) or "://" in token
     iri = expand_name(token, {**BUILTIN_PREFIXES, **graph.prefix_map}, as_written)
     if iri is None:

@@ -130,11 +130,12 @@ JOHAN = lanl("johan")
         ("rdfs:Resource", Iri(RDFS_NS + "Resource"), set()),
         ("rwrx:grammar_0", Iri(RESULT_NS + "grammar_0"), set()),
         ("_:b", Blank("b"), {"nt"}),
+        ("<_:b>", Iri("_:b"), {"nt", "dsl"}),
         ("<>", None, set()),
         ("nope:x", None, set()),
     ],
     ids=["prefixed", "bracketed-prefixed", "bracketed", "bare-iri", "builtin-rdfs",
-         "builtin-rwrx", "blank", "empty", "unknown-prefix"],
+         "builtin-rwrx", "blank", "bracketed-blank", "empty", "unknown-prefix"],
 )
 def test_every_written_name_form_resolves_as_in_the_files(capsys, written, expected, readers):
     graph = load_ntriples(read_fixture("social.nt"))
