@@ -179,12 +179,11 @@ def _resolve_token(token: str, graph: Graph) -> Resource:
     if token.startswith("_:"):
         return Blank(token[2:])
     bracketed = token.startswith("<") and token.endswith(">")
-    if bracketed:
-        token = token[1:-1]
-    as_written = bool(bracketed and token) or "://" in token
-    iri = expand_name(token, {**BUILTIN_PREFIXES, **graph.prefix_map}, as_written)
-    if iri is None:
-        raise _UsageError(f"cannot resolve resource {token!r}: unknown prefix")
+    name = token[1:-1] if bracketed else token
+    iri = expand_name(name, {**BUILTIN_PREFIXES, **graph.prefix_map}, bracketed or "://" in name)
+    if not iri:
+        why = "unknown prefix" if iri is None else "empty name"
+        raise _UsageError(f"cannot resolve resource {token!r}: {why}")
     return Iri(iri)
 
 

@@ -9,16 +9,17 @@ walker, one clone per transition.  Walkers reaching the exit context run
 its rules and retire their recorded path into the result set.
 
 Walkers step on integer ids, and each rule has one implementation, on
-them: ``legal_edges`` applies is, not and notever, ``expand`` pathcount.
-The first run over a graph derives its ``GraphIndex`` (``Graph.derived``),
-which numbers its vertices and predicates and is shared by every later
-run.  A vertex's moves, read from the graph's own subject and object
-indexes and put in ``triple_key`` order, are built when a walker first
-stands on it, so a run pays only for the part of the graph it explores.
-A walker the engine builds keeps its trail's vertex ids, so each check
-per candidate edge is a list, dict or set lookup on ints.  ``Triple``s,
-``Transition``s and ``PathRecord``s are built only for what a step
-returns, what a run returns, and what a ``RunTrace`` records.
+them: ``legal_edges`` applies is, not and notever, ``expand`` pathcount,
+and ``_reach_back`` turns each one's step into a trail position.  The
+first run over a graph derives its ``GraphIndex`` (``Graph.derived``),
+which numbers its vertices and is shared by every later run.  A vertex's
+moves, read from the graph's own subject and object indexes and put in
+``triple_key`` order, are built when a walker first stands on it, so a run
+pays only for the part of the graph it explores.  A walker the engine
+builds keeps its trail's vertex ids, so each check per candidate edge is a
+dict or set lookup on a vertex id or on the edge's predicate IRI text.
+``Triple``s, ``Transition``s and ``PathRecord``s are built only for what a
+step returns, what a run returns, and what a ``RunTrace`` records.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ _DIRECTIONS = (Direction.FORWARD, Direction.BACKWARD)
 
 
 class GraphIndex:
-    """Integer ids for one graph's vertices and predicates, and each vertex's moves.
+    """Integer ids for one graph's vertices, and each vertex's moves.
 
     The ids are fixed when the index is built, in the graph's own set
     order rather than in ``resource_key`` order; every ordering the engine
@@ -164,13 +165,13 @@ class GraphIndex:
     ``(triples, rank, out, into, by_move)``.  ``triples`` lists the triples
     leaving or entering the vertex in ``triple_key`` order, and ``rank``
     maps each to its place there.  ``out`` holds a tuple ``(move, far
-    vertex id, predicate id, the PathStep the move appends)`` for every
-    move along a triple leaving the vertex, ``into`` one for every move
-    against a triple entering it, both in move order, and ``by_move`` holds
-    each at index ``move``.  Id -1 names a vertex the graph does not have,
+    vertex id, predicate IRI text, the PathStep the move appends)`` for
+    every move along a triple leaving the vertex, ``into`` one for every
+    move against a triple entering it, both in move order, and ``by_move``
+    holds each at index ``move``.  Id -1 names a vertex the graph does not have,
     which has no moves.
 
-    The index also keeps, per wanted predicate, which predicate ids it
+    The index also keeps, per wanted predicate, which predicate IRIs it
     admits, and per wanted resource, the specificity with which it admits
     each vertex id; both are computed through ``Graph.is_subproperty_or_equal``
     and ``Graph.has_type_or_equal``, so every subsumption mode stays exact.
@@ -179,22 +180,18 @@ class GraphIndex:
     may share one index.
     """
 
-    __slots__ = (
-        "graph", "vertices", "vertex_id", "moves", "_predicates", "_predicate_id", "_admissible", "_admitted", "_rules"
-    )
+    __slots__ = ("graph", "vertices", "vertex_id", "moves", "_admissible", "_admitted", "_rules")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.vertices = list(graph.vertices())
         self.vertex_id = {v: i for i, v in enumerate(self.vertices)}
-        self._predicates = list({t.predicate for t in graph.triples})
-        self._predicate_id = {p: i for i, p in enumerate(self._predicates)}
         self.moves = _Memo(self._visit)
         self.moves[-1] = ([], {}, [], [], [])
-        below, predicates = graph.is_subproperty_or_equal, self._predicates
-        typed, vertices = graph.has_type_or_equal, self.vertices
-        # wanted predicate -> (predicate id -> whether it is the wanted one or below it)
-        self._admissible = _Memo(lambda wanted: _Memo(lambda pid: below(predicates[pid], wanted)))
+        below, typed, vertices = graph.is_subproperty_or_equal, graph.has_type_or_equal, self.vertices
+        # wanted predicate -> (IRI text -> whether that predicate is the wanted one or below it);
+        # keyed by the text, whose hash is cached, rather than by the Iri
+        self._admissible = _Memo(lambda wanted: _Memo(lambda name: below(Iri(name), wanted)))
         # wanted resource -> (vertex id -> the vertex's specificity for it, None where not admitted)
         self._admitted = _Memo(lambda wanted: _Memo(
             lambda vid: _specificity(vertices[vid], wanted) if typed(vertices[vid], wanted) else None
@@ -206,16 +203,16 @@ class GraphIndex:
         vertex, graph = self.vertices[vid], self.graph
         triples = sorted(graph.outgoing(vertex) | graph.incoming(vertex), key=triple_key)
         out, into, by_move = [], [], [None] * (2 * len(triples))
-        vertex_id, predicate_id = self.vertex_id, self._predicate_id
+        vertex_id = self.vertex_id
         for rank, t in enumerate(triples):
-            pid = predicate_id[t.predicate]
+            name = t.predicate.value
             if t.subject == vertex:
                 step = PathStep(t.object, t.predicate, Direction.FORWARD)
-                by_move[2 * rank] = move = (2 * rank, vertex_id[t.object], pid, step)
+                by_move[2 * rank] = move = (2 * rank, vertex_id[t.object], name, step)
                 out.append(move)
             if t.object == vertex:
                 step = PathStep(t.subject, t.predicate, Direction.BACKWARD)
-                by_move[2 * rank + 1] = move = (2 * rank + 1, vertex_id[t.subject], pid, step)
+                by_move[2 * rank + 1] = move = (2 * rank + 1, vertex_id[t.subject], name, step)
                 into.append(move)
         return triples, {t: rank for rank, t in enumerate(triples)}, out, into, by_move
 
@@ -251,7 +248,6 @@ class GraphIndex:
             tuple(a.step for a in far.attributes if isinstance(a, Not)),
             far.has_not_ever,
             spec.far_context,
-            far.id,
         )
 
 
@@ -272,13 +268,12 @@ class _Spec(NamedTuple):
     """An edge spec with every check it makes looked up on a ``GraphIndex``."""
 
     backward: bool
-    admissible: _Memo | None  # by predicate id; None under the wildcard, which admits all
+    admissible: _Memo | None  # by predicate IRI text; None under the wildcard, which admits all
     admitted: _Memo
     is_steps: tuple
     not_steps: tuple
     notever: bool
     far_context: str
-    far_id: str  # the far context's own id, which errors name
 
 
 def index_of(graph: Graph) -> GraphIndex:
@@ -289,17 +284,14 @@ def index_of(graph: Graph) -> GraphIndex:
 # -- legal edge computation ------------------------------------------------------
 
 
-def _reach_back(length: int, steps: Iterable, kind: str, context_id: str) -> list:
-    """Trail positions ``steps`` before position ``length``, the one being resolved."""
-    positions = []
-    for step in steps:
-        if step > length:
-            raise GrammarRuntimeError(
-                f"{kind} step {step} reaches before the start of the path at position {length}",
-                context_id=context_id,
-            )
-        positions.append(length - step)
-    return positions
+def _reach_back(length: int, step: int, kind: str, context_id: str) -> int:
+    """The trail position ``step`` before position ``length``, the one being resolved."""
+    if step > length:
+        raise GrammarRuntimeError(
+            f"{kind} step {step} reaches before the start of the path at position {length}",
+            context_id=context_id,
+        )
+    return length - step
 
 
 class _TraceSink:
@@ -360,9 +352,9 @@ def legal_edges(
     best: dict = {}  # move -> (rank * width + spec order, far context)
     visited = None  # the vertex ids of the trail, built for the first notever spec
     for order, spec in enumerate(specs):
-        backward, admissible, admitted, is_steps, not_steps, notever, far_context, far_id = spec
-        required = {vids[p] for p in _reach_back(len(vids), is_steps, "is", far_id)} if is_steps else ()
-        excluded = {vids[p] for p in _reach_back(len(vids), not_steps, "not", far_id)} if not_steps else ()
+        backward, admissible, admitted, is_steps, not_steps, notever, far_context = spec
+        required = {vids[_reach_back(len(vids), s, "is", far_context)] for s in is_steps} if is_steps else ()
+        excluded = {vids[_reach_back(len(vids), s, "not", far_context)] for s in not_steps} if not_steps else ()
         if notever and visited is None:
             visited = set(vids)
         blocked = visited if notever else ()
@@ -371,8 +363,8 @@ def legal_edges(
             collector.raw_candidates += len(candidates)
             direction = _DIRECTIONS[backward]
             collector.examined.extend((triples[move >> 1], direction) for move, _, _, _ in candidates)
-        for move, far, pid, _ in candidates:
-            if admissible is not None and not admissible[pid]:
+        for move, far, name, _ in candidates:
+            if admissible is not None and not admissible[name]:
                 reason = "predicate"
             elif (rank := admitted[far]) is None:
                 reason = "type"
@@ -394,21 +386,6 @@ def legal_edges(
     return tuple(
         [Transition(triples[move >> 1], _DIRECTIONS[move & 1], best[move][1]) for move in sorted(best)]
     )
-
-
-# -- path counting ---------------------------------------------------------------
-
-
-def _counted(walker: Walker, step: int) -> PathStep:
-    """The trail segment ``step`` time-steps back, which a pathcount rule records."""
-    position = len(walker.trail) - 1 - step
-    if position < 0:
-        raise GrammarRuntimeError(
-            f"pathcount step {step} reaches before the start of the path at "
-            f"time {walker.time_index}",
-            context_id=walker.context,
-        )
-    return walker.trail[position]
 
 
 # -- tracing ----------------------------------------------------------------------
@@ -475,11 +452,10 @@ def expand(
             if isinstance(rule, PathCount):
                 # only the successors see the recorded path, so the walker
                 # itself stays as it is for the traverse rule
-                recorded += (_counted(walker, rule.step),)
+                position = _reach_back(walker.time_index, rule.step, "pathcount", walker.context)
+                recorded += (walker.trail[position],)
             elif context.kind is ContextKind.EXIT:
-                raise GrammarRuntimeError(
-                    "exit context must not traverse", context_id=context.id
-                )
+                raise GrammarRuntimeError("exit context must not traverse", context_id=walker.context)
             else:
                 transitions = legal_edges(graph, grammar, walker, rule, collector=sink)
         if context.kind is ContextKind.EXIT:

@@ -321,8 +321,9 @@ class _DslParser:
     def resolve(self, token: str) -> Iri:
         bracketed = token.startswith("<") and token.endswith(">")
         iri = expand_name(token[1:-1] if bracketed else token, self.prefix_map, bracketed)
-        if iri is None:
-            raise self.error(f"cannot resolve resource {token!r} (unknown prefix)")
+        if not iri:
+            why = "unknown prefix" if iri is None else "empty name"
+            raise self.error(f"cannot resolve resource {token!r} ({why})")
         return Iri(iri)
 
     def parse(self) -> list[GrammarContext]:

@@ -474,6 +474,8 @@ def _term(kind: str, value, prefix_map: dict, line_no: int, end: int) -> Resourc
     if iri is None:
         head = value.partition(":")[0]
         raise ParseError(f"unknown prefix {head!r} in {value!r}", line=line_no, column=end + 1)
+    if not iri:
+        raise ParseError("empty name", line=line_no, column=end + 1)
     return Iri(iri) if lexical is None else Literal(lexical, iri)
 
 

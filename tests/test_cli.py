@@ -119,7 +119,8 @@ JOHAN = lanl("johan")
 
 
 # every way a resource may be written on the command line; ``readers``
-# names the file formats that read the same text as the same resource
+# names the file formats that read the same text as the same resource, and
+# the others reject it; a name that resolves to nothing expects the message
 @pytest.mark.parametrize(
     "written, expected, readers",
     [
@@ -131,24 +132,22 @@ JOHAN = lanl("johan")
         ("rwrx:grammar_0", Iri(RESULT_NS + "grammar_0"), set()),
         ("_:b", Blank("b"), {"nt"}),
         ("<_:b>", Iri("_:b"), {"nt", "dsl"}),
-        ("<>", None, set()),
-        ("nope:x", None, set()),
+        ("<>", "cannot resolve resource '<>': empty name", set()),
+        ("nope:x", "cannot resolve resource 'nope:x': unknown prefix", set()),
     ],
     ids=["prefixed", "bracketed-prefixed", "bracketed", "bare-iri", "builtin-rdfs",
          "builtin-rwrx", "blank", "bracketed-blank", "empty", "unknown-prefix"],
 )
 def test_every_written_name_form_resolves_as_in_the_files(capsys, written, expected, readers):
-    graph = load_ntriples(read_fixture("social.nt"))
-    if expected is None:
+    if isinstance(expected, str):
         code, out, err = run_cli(
             capsys,
             "metric", *graph_args(), "--grammar", str(FIXTURES / "any_path.pg"),
             "--metric", "eccentricity", "--vertex", written,
         )
-        assert (code, out) == (1, "")
-        assert "usage error: cannot resolve resource" in err
-        return
-    assert cli._resolve_token(written, graph) == expected
+        assert (code, out, err) == (1, "", f"usage error: {expected}\n")
+    else:
+        assert cli._resolve_token(written, load_ntriples(read_fixture("social.nt"))) == expected
     declared = "@prefix lanl: <http://www.lanl.gov#> .\n"
     read = {
         "nt": lambda: next(iter(load_ntriples(f"{declared}{written} lanl:p lanl:o .\n").triples)).subject,

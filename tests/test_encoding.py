@@ -300,6 +300,12 @@ def test_through_counts_each_path_node_of_an_equal_record():
     assert paths.witnesses(johan, norman) == (SHORT_RECORD, SHORT_RECORD)
 
 
+def test_store_witnesses_need_a_pair():
+    paths = StorePaths(encode_paths([SHORT_RECORD], GRAMMAR_ID, [0]), GRAMMAR_ID)
+    with pytest.raises(ValueError, match="shortest-path needs source and target"):
+        paths.witnesses()
+
+
 # -- metrics from the store ------------------------------------------------------------
 
 

@@ -144,6 +144,7 @@ def test_is_set_step_past_start_raises():
         probe(LOOP_GRAPH, walker, "is 2")
     assert info.value.context_id == "probed"
     assert "probed" in str(info.value)
+    assert "is step 2 reaches before the start of the path at position 1" in str(info.value)
 
 
 def test_two_is_attributes_union_their_targets(social_graph):
@@ -268,6 +269,19 @@ def test_path_count_past_start_raises(social_graph):
     with pytest.raises(GrammarRuntimeError) as info:
         expand(social_graph, grammar, [walker])
     assert info.value.context_id == "johan_0"
+    # the same form as an is or not step's, naming the walker's own position
+    assert "pathcount step 1 reaches before the start of the path at position 0" in str(info.value)
+
+
+def test_an_unvalidated_exit_that_traverses_raises(social_graph):
+    text = (
+        "@prefix lanl: <http://www.lanl.gov#>\n"
+        "context a entry for lanl:johan {\n  pathcount 0\n  traverse out lanl:hasFriend -> b\n}\n"
+        "context b exit for lanl:marko {\n  pathcount 0\n  traverse out lanl:hasFriend -> b\n}\n"
+    )
+    with pytest.raises(GrammarRuntimeError, match="exit context must not traverse") as info:
+        run(social_graph, parse_grammar_dsl(text, validate=False))
+    assert info.value.context_id == "b"
 
 
 # -- expand ---------------------------------------------------------------------
@@ -610,6 +624,23 @@ def test_engine_index_is_built_by_the_first_run_and_kept(monkeypatch):
     run(graph, parse_grammar_dsl(SUBSUMPTION_DSL), RunMode.SHORTEST_ONLY, 10)
     assert len(built) == 1
     assert index_of(graph) is index
+
+
+def test_building_the_engine_index_reads_no_triple_set(monkeypatch):
+    # vertex ids come from the graph's vertex set, and predicates are known
+    # by their IRI text, so building the index makes no pass over the triples
+    graph = Graph([Triple(lanl("johan"), lanl("knows"), lanl("marko"))])
+    reads = []
+    real = Graph.triples
+
+    def counted(self):
+        reads.append(self)
+        return real.fget(self)
+
+    monkeypatch.setattr(Graph, "triples", property(counted))
+    index = GraphIndex(graph)
+    assert reads == []
+    assert index.vertex_id == {v: i for i, v in enumerate(graph.vertices())}
 
 
 def test_legal_edges_from_a_vertex_outside_the_graph_is_empty(social_graph, researcher_grammar):

@@ -23,7 +23,7 @@ from geograms.grammar import (
     unconstrained_grammar,
     validate_grammar,
 )
-from geograms.store import RDFS_RESOURCE, Iri
+from geograms.store import RDFS_RESOURCE, Blank, Iri
 
 from conftest import LANL, lanl, read_fixture
 from oracles import TEST_NS, random_grammar, random_multi_predicate_graph
@@ -108,9 +108,11 @@ def test_two_entries_rejected():
         ("0\n  traverse", "0\n  jump 1\n  traverse", ParseError, "unknown rule or attribute 'jump'", 5),
         ("pathcount 0\n  traverse", "pathcount -1\n  traverse", ParseError, "expected a natural number, got '-1'", 4),
         ("context b exit", "context a exit", GrammarLoadError, "duplicate context id 'a'", None),
+        ("for ex:end", "for <>", ParseError, "cannot resolve resource '<>' (empty name)", 7),
+        ("out ex:p", "out <>", ParseError, "cannot resolve resource '<>' (empty name)", 5),
     ],
     ids=["malformed-prefix", "top-level-word", "missing-brace", "notever-argument", "unknown-rule",
-         "step-not-natural", "duplicate-context-id"],
+         "step-not-natural", "duplicate-context-id", "empty-name", "empty-predicate"],
 )
 def test_dsl_errors(old, new, error, message, line):
     assert old in MINIMAL
@@ -257,6 +259,13 @@ def test_dsl_writer_raises_for_an_iri_the_reader_would_expand():
         serialize_grammar_dsl(grammar, {"e": "http://e.org/"})
 
 
+def test_dsl_writer_raises_for_a_non_iri_binding():
+    # the DSL writes every binding as an IRI
+    grammar = unconstrained_grammar(Blank("source"), Iri("http://e.org/sink"))
+    with pytest.raises(GrammarLoadError, match=re.escape("cannot serialize non-IRI grammar resource _:source")):
+        serialize_grammar_dsl(grammar)
+
+
 def test_dsl_writer_round_trips_or_raises_on_adversarial_iris():
     rng = random.Random(47)
     prefixes = {"e": "http://e.org/", "t": TEST_NS}
@@ -298,8 +307,13 @@ def test_dsl_writer_round_trips_or_raises_on_adversarial_iris():
 # -- triple encoding -----------------------------------------------------------------
 
 
-def test_triple_encoded_grammar_equals_dsl(researcher_grammar):
-    loaded = load_grammar_from_triples(load_ntriples(read_fixture("researcher_path_grammar.nt")))
+# a context's id is its node's local name, whatever the node is written as
+@pytest.mark.parametrize(
+    "node", ["psi:norman_4", "<norman_4>", "_:norman_4"], ids=["prefixed", "iri-without-separator", "blank"]
+)
+def test_triple_encoded_grammar_equals_dsl(researcher_grammar, node):
+    text = read_fixture("researcher_path_grammar.nt").replace("psi:norman_4", node)
+    loaded = load_grammar_from_triples(load_ntriples(text))
     assert loaded == researcher_grammar
 
 

@@ -53,7 +53,9 @@ CASES = [
     ('unterminated_literal', '<s> <p> "abc .', (ParseError, 1, 9, 'unterminated literal (line 1, column 9)')),
     ('unterminated_iri', '<s> <p> <o .', (ParseError, 1, 9, 'unterminated IRI (line 1, column 9)')),
     ('iri_swallowing_space', '<s <p> <o> .', (ParseError, 1, 13, "unexpected '.' while reading object (line 1, column 13)")),
-    ('empty_iri', '<> <p> <o> .', (ValidationError, None, None, 'IRI value must be non-empty')),
+    ('empty_iri', '<> <p> <o> .', (ParseError, 1, 3, 'empty name (line 1, column 3)')),
+    ('empty_datatype', '<s> <p> "x"^^<> .', (ParseError, 1, 16, 'empty name (line 1, column 16)')),
+    ('empty_namespace', '@prefix e: <> .\n<s> <p> e: .', (ParseError, 2, 11, 'empty name (line 2, column 11)')),
     ('prefix_redeclared', '@prefix ex: <http://a.org/> .\nex:x ex:p ex:y .\n@prefix ex: <http://b.org/> .\nex:x ex:p ex:y .', [(I('http://a.org/x'), I('http://a.org/p'), I('http://a.org/y')), (I('http://b.org/x'), I('http://b.org/p'), I('http://b.org/y'))]),
     ('prefix_without_dot', '@prefix ex: <http://a.org/>\nex:x ex:p ex:y .', [(I('http://a.org/x'), I('http://a.org/p'), I('http://a.org/y'))]),
     ('prefix_glued_dot', '@prefix ex: <http://a.org/>.\nex:x ex:p ex:y .', [(I('http://a.org/x'), I('http://a.org/p'), I('http://a.org/y'))]),

@@ -234,6 +234,8 @@ def test_has_type_subclass_chain():
     assert graph.has_type_or_equal(lanl("fluffy"), lanl("Animal"))
     single = load_ntriples(graph.to_ntriples(), subsumption=SubsumptionMode.SINGLE_HOP)
     assert not single.has_type_or_equal(lanl("fluffy"), lanl("Animal"))
+    # a literal is never a triple's subject, so it has no type
+    assert not single.has_type_or_equal(Literal("fluffy"), lanl("Dog"))
 
 
 TYPED = (
@@ -349,6 +351,8 @@ def test_ntriples_round_trip():
         graph = random_multi_predicate_graph(rng, rng.randint(2, 15), rng.randint(2, 40))
         again = load_ntriples(graph.to_ntriples())
         assert again.triples == graph.triples
+        assert again == graph and hash(again) == hash(graph)
+    assert graph != graph.triples
 
 
 def test_round_trip_preserves_literals_and_blanks():
@@ -359,6 +363,7 @@ def test_round_trip_preserves_literals_and_blanks():
         ]
     )
     assert load_ntriples(graph.to_ntriples()).triples == graph.triples
+    assert repr(Blank("n1")) == "_:n1"
 
 
 def test_merge_unions_triples(social_graph):
@@ -371,3 +376,5 @@ def test_merge_unions_triples(social_graph):
 def test_compact_uses_longest_prefix(social_graph):
     assert social_graph.compact(lanl("johan")) == "lanl:johan"
     assert social_graph.compact(Iri("http://elsewhere#z")) == "http://elsewhere#z"
+    assert social_graph.compact(Blank("b")) == "_:b"
+    assert social_graph.compact(Literal("x", "http://a#dt")) == '"x"'
