@@ -164,12 +164,12 @@ class GraphIndex:
     ``moves[v]``, built on the first visit to vertex id ``v``, is a tuple
     ``(triples, rank, out, into, by_move)``.  ``triples`` lists the triples
     leaving or entering the vertex in ``triple_key`` order, and ``rank``
-    maps each to its place there.  ``out`` holds a tuple ``(move, far
-    vertex id, predicate IRI text, the PathStep the move appends)`` for
-    every move along a triple leaving the vertex, ``into`` one for every
-    move against a triple entering it, both in move order, and ``by_move``
-    holds each at index ``move``.  Id -1 names a vertex the graph does not have,
-    which has no moves.
+    maps each to its place there.  ``out`` holds a tuple ``(move, far vertex
+    id, predicate IRI text, the PathStep the move appends)`` for every move
+    along a triple leaving the vertex, ``into`` one for every move against a
+    triple entering it, both in move order, and ``by_move`` holds each at
+    index ``move``.  Id -1 names a vertex the graph does not have, which has
+    no moves.
 
     The index also keeps, per wanted predicate, which predicate IRIs it
     admits, and per wanted resource, the specificity with which it admits
