@@ -8,8 +8,8 @@ encode            run the grammar and write the encoded paths as triples
 oracle-check      compare unconstrained-grammar distances against plain BFS
 validate-grammar  print rule violations of a grammar definition
 
-Exit codes: 0 success, 1 usage error, 2 data or grammar error, 3 oracle
-mismatch.
+Exit codes: 0 success, 1 usage error, 2 data or grammar error (also a
+``--vertex`` or ``--vertices`` name the graph lacks), 3 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 
 from . import encoding, metrics
 from .engine import DEFAULT_MAX_STEPS, PathRecord, RunMode, run
-from .errors import GeogramsError
+from .errors import GeogramsError, ValidationError
 from .grammar import (
     RWR_NS,
     Grammar,
@@ -187,10 +187,18 @@ def _resolve_token(token: str, graph: Graph) -> Resource:
     return Iri(iri)
 
 
+def _vertex(token: str, graph: Graph) -> Resource:
+    """The resource ``token`` names, which must be a vertex of ``graph``."""
+    vertex = _resolve_token(token, graph)
+    if vertex not in graph.vertices():
+        raise ValidationError(f"vertex {token!r} does not occur in the graph")
+    return vertex
+
+
 def _universe(args, graph: Graph, default) -> list:
     """The ``--vertices`` resources, else those ``default()`` gives, in key order."""
     if args.vertices:
-        return sorted({_resolve_token(tok, graph) for tok in args.vertices}, key=resource_key)
+        return sorted({_vertex(tok, graph) for tok in args.vertices}, key=resource_key)
     return sorted(default(), key=resource_key)
 
 
@@ -240,7 +248,7 @@ def _cmd_metric(args) -> int:
     kind = metrics.MetricKind(args.metric)
     if kind in metrics.VERTEX_KINDS and not args.vertex:
         raise _UsageError(f"--metric {kind.value} requires --vertex")
-    vertex = _resolve_token(args.vertex, graph) if kind in metrics.VERTEX_KINDS else None
+    vertex = _vertex(args.vertex, graph) if kind in metrics.VERTEX_KINDS else None
     universe = ()
     if kind is not metrics.MetricKind.SHORTEST_PATH:
         universe = _universe(args, graph, lambda: metrics.default_universe(graph, grammar))

@@ -20,8 +20,9 @@ grammar identifiers.  The first read for a grammar decodes each of its
 paths once into an endpoint index, (first vertex, last vertex) -> {path
 node: decoded record}, which the store keeps (``Graph.derived``); every
 later read for that grammar is a lookup in it and makes no ``Graph.match``
-call.  ``query_X`` and ``query_Y`` are the only reads, and ``StorePaths``
-answers through them, taking its witness records from the index.
+call.  ``query_X`` and ``query_Y`` are the only reads.  ``StorePaths``
+answers through ``query_X``, taking its witness records from the index,
+and counts ``through`` by ``metrics.through_share``, as ``WalkerPaths`` does.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 from .engine import PathRecord, PathStep
 from .errors import IncompleteStoreError, ValidationError
 from .grammar import RWR_HAS_PREDICATE, RWR_NS, Direction
-from .metrics import MetricKind, MetricResult, fold
+from .metrics import MetricKind, MetricResult, fold, through_share
 from .store import (
     RDF_NS,
     RDF_TYPE,
@@ -204,7 +205,7 @@ def query_Y(
 
 @dataclass(frozen=True)
 class StorePaths:
-    """Path provider answering from an encoded store through ``query_X`` and ``query_Y``."""
+    """Path provider answering from an encoded store through ``query_X``."""
 
     store: Graph
     grammar_id: Resource
@@ -222,11 +223,7 @@ class StorePaths:
         return None if found is None else found - 1
 
     def through(self, source: Resource, target: Resource, vertex: Resource) -> Optional[tuple]:
-        """(tied-shortest paths through ``vertex``, all of them); None if none."""
-        shortest = ms_shortest_paths(query_X(self.store, source, target, self.grammar_id))
-        if not shortest:
-            return None
-        return len(query_Y(self.store, source, target, vertex, self.grammar_id)), len(shortest)
+        return through_share(self.witnesses(source, target), vertex)
 
 
 def p_encoded_metric(

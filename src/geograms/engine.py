@@ -19,7 +19,8 @@ pays only for the part of the graph it explores.  A walker the engine
 builds keeps its trail's vertex ids, so each check per candidate edge is a
 dict or set lookup on a vertex id or on the edge's predicate IRI text.
 ``Triple``s, ``Transition``s and ``PathRecord``s are built only for what a
-step returns, what a run returns, and what a ``RunTrace`` records.
+step returns, what a run returns, and what a trace records: a ``RunTrace``
+holds one ``GenerationTrace`` per generation and reads its totals from them.
 """
 
 from __future__ import annotations
@@ -294,17 +295,6 @@ def _reach_back(length: int, step: int, kind: str, context_id: str) -> int:
     return length - step
 
 
-class _TraceSink:
-    """Trace data collected by ``legal_edges`` over one generation."""
-
-    __slots__ = ("examined", "rejections", "raw_candidates")
-
-    def __init__(self):
-        self.examined = []
-        self.rejections = []
-        self.raw_candidates = 0
-
-
 class Rejection(NamedTuple):
     triple: Triple
     direction: Direction
@@ -327,7 +317,7 @@ def legal_edges(
     grammar: Grammar,
     walker: Walker,
     rule: Traverse,
-    collector: _TraceSink | None = None,
+    collector: "GenerationTrace | None" = None,
 ) -> tuple:
     """Every transition the walker may take under ``rule``; one per edge.
 
@@ -361,8 +351,7 @@ def legal_edges(
         candidates = into if backward else out
         if collector is not None:
             collector.raw_candidates += len(candidates)
-            direction = _DIRECTIONS[backward]
-            collector.examined.extend((triples[move >> 1], direction) for move, _, _, _ in candidates)
+            collector.examined.update((triples[m >> 1], _DIRECTIONS[backward]) for m, _, _, _ in candidates)
         for move, far, name, _ in candidates:
             if admissible is not None and not admissible[name]:
                 reason = "predicate"
@@ -393,26 +382,33 @@ def legal_edges(
 
 @dataclass
 class GenerationTrace:
+    """One generation of a traced run, which ``legal_edges`` and ``expand`` fill;
+    ``expand`` appends it, frozen, to ``RunTrace.generations`` when the generation ends."""
+
     index: int
-    frontier_size: int
-    finished_count: int
-    emitted: frozenset
-    rejections: tuple
+    frontier_size: int = 0
+    finished_count: int = 0
+    emitted: frozenset = field(default_factory=set)
+    rejections: tuple = field(default_factory=list)
+    raw_candidates: int = 0
+    examined: set = field(default_factory=set)
 
 
 @dataclass
 class RunTrace:
-    """Instrumentation of one run, for diagnostics and complexity checks."""
+    """A run's ``GenerationTrace``s and walker ids; the two totals are read from the generations."""
 
     generations: list = field(default_factory=list)
-    edges_examined: set = field(default_factory=set)
-    raw_candidates: int = 0
     walker_ids: set = field(default_factory=set)
+
+    @property
+    def raw_candidates(self) -> int:
+        return sum(g.raw_candidates for g in self.generations)
 
     @property
     def transitions_examined(self) -> int:
         """Distinct (triple, direction) pairs examined across the whole run."""
-        return len(self.edges_examined)
+        return len(set().union(*(g.examined for g in self.generations)))
 
 
 # -- frontier expansion ------------------------------------------------------------
@@ -440,10 +436,9 @@ def expand(
     downstream artifact, do not depend on set iteration order.
     """
     index = index_of(graph)
-    sink = _TraceSink() if trace is not None else None
+    record = GenerationTrace(len(trace.generations)) if trace is not None else None
     successors = []
     finished = set()
-    emitted = set()
     for walker in sorted(frontier, key=_walker_id):
         context = grammar.contexts[walker.context]
         recorded = walker.recorded
@@ -457,11 +452,11 @@ def expand(
             elif context.kind is ContextKind.EXIT:
                 raise GrammarRuntimeError("exit context must not traverse", context_id=walker.context)
             else:
-                transitions = legal_edges(graph, grammar, walker, rule, collector=sink)
+                transitions = legal_edges(graph, grammar, walker, rule, collector=record)
         if context.kind is ContextKind.EXIT:
             finished.add(recorded)
-        if sink is not None:
-            emitted.update(transitions)
+        if record is not None:
+            record.emitted.update(transitions)
         if not transitions:
             continue
         trail, vids = walker.trail, index.vertex_ids(walker)
@@ -473,19 +468,11 @@ def expand(
             successors.append(successor)
             next_id += 1
     records = frozenset(map(PathRecord, finished))
-    if trace is not None:
-        trace.raw_candidates += sink.raw_candidates
-        trace.edges_examined.update(sink.examined)
+    if record is not None:
+        record.frontier_size, record.finished_count = len(successors), len(records)
+        record.emitted, record.rejections = frozenset(record.emitted), tuple(record.rejections)
         trace.walker_ids.update(walker.id for walker in successors)
-        trace.generations.append(
-            GenerationTrace(
-                index=len(trace.generations),
-                frontier_size=len(successors),
-                finished_count=len(records),
-                emitted=frozenset(emitted),
-                rejections=tuple(sink.rejections),
-            )
-        )
+        trace.generations.append(record)
     return ExpandResult(tuple(successors), records), next_id
 
 

@@ -25,6 +25,7 @@ from .store import (
     Literal,
     Resource,
     expand_name,
+    prefix_declaration,
     resource_key,
 )
 
@@ -333,10 +334,8 @@ class _DslParser:
             if line is None:
                 break
             if line.startswith("@prefix"):
-                m = re.match(r"@prefix\s+([A-Za-z_][\w.-]*)\s*:\s*<([^>]*)>\s*\.?\s*$", line)
-                if not m:
-                    raise self.error("malformed @prefix declaration")
-                self.prefix_map[m.group(1)] = m.group(2)
+                name, namespace = prefix_declaration(line, self.index + 1)
+                self.prefix_map[name] = namespace
                 self.index += 1
             elif line.startswith("context"):
                 contexts.append(self.parse_context(line))

@@ -93,11 +93,17 @@ class WalkerPaths:
         return found[0].edge_length if found else None
 
     def through(self, source: Resource, target: Resource, vertex: Resource) -> Optional[tuple]:
-        """(tied-shortest paths with ``vertex`` strictly inside, all of them); None if none."""
-        found = self.witnesses(source, target)
-        if not found:
-            return None
-        return sum(1 for r in found if vertex in r.vertices()[1:-1]), len(found)
+        return through_share(self.witnesses(source, target), vertex)
+
+
+def through_share(witnesses: tuple, vertex: Resource) -> Optional[tuple]:
+    """(tied-shortest paths with ``vertex`` strictly inside, all of them); None if none.
+
+    The one rule by which every path provider's ``through`` counts.
+    """
+    if not witnesses:
+        return None
+    return sum(1 for r in witnesses if vertex in r.vertices()[1:-1]), len(witnesses)
 
 
 def _distances(paths, source: Resource, universe: list) -> tuple[list, int]:

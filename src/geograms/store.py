@@ -479,8 +479,8 @@ def _term(kind: str, value, prefix_map: dict, line_no: int, end: int) -> Resourc
     return Iri(iri) if lexical is None else Literal(lexical, iri)
 
 
-def _prefix_declaration(line: str, line_no: int) -> tuple:
-    """(name, namespace) of a ``@prefix name: <ns> .`` line."""
+def prefix_declaration(line: str, line_no: int) -> tuple:
+    """(name, namespace) of a ``@prefix name: <ns> .`` line, in graph files and DSL text alike."""
     kind, name, end = _token(line, len("@prefix"), line_no)
     if kind != "word" or not name.endswith(":"):
         raise ParseError("@prefix expects a name ending in ':'", line=line_no, column=end + 1)
@@ -522,7 +522,7 @@ def load_ntriples(
         if not line or line.startswith("#"):
             continue
         if line.startswith("@prefix"):
-            name, namespace = _prefix_declaration(line, line_no)
+            name, namespace = prefix_declaration(line, line_no)
             prefix_map[name] = namespace
             terms.clear()
             continue

@@ -412,3 +412,45 @@ def random_grammar(rng: random.Random, graph: Graph, max_intermediates: int = 3)
         grammar = Grammar({c.id: c for c in contexts}, "entry", "exit")
         if not validate_grammar(grammar):
             return grammar
+
+
+# -- differential check of path providers ----------------------------------------------
+
+
+def provider_differences(make_provider, cases, max_steps: int = 200) -> list:
+    """Every answer on which a path provider differs from ``WalkerPaths``.
+
+    ``cases`` yields ``(graph, grammar, universe)``, and
+    ``make_provider(graph, grammar, universe)`` builds the provider under
+    test for one case.  For every ordered pair (j, k) of distinct universe
+    vertices, both providers answer ``witnesses(j, k)``, ``distance(j, k)``
+    and ``through(j, k, v)`` for every ``v`` of the universe, endpoints
+    included; an answer is the value returned or the class of the error
+    raised.  Returns one (case number, call, arguments, walker answer,
+    provider answer) tuple per difference.
+    """
+    from geograms.metrics import WalkerPaths
+
+    differences = []
+    for number, (graph, grammar, universe) in enumerate(cases):
+        provider, reference = make_provider(graph, grammar, universe), WalkerPaths(graph, grammar, max_steps)
+        for j in universe:
+            for k in universe:
+                if j == k:
+                    continue
+                calls = [("witnesses", (j, k)), ("distance", (j, k))]
+                calls += [("through", (j, k, v)) for v in universe]
+                for name, args in calls:
+                    expected = _answer(getattr(reference, name), args)
+                    found = _answer(getattr(provider, name), args)
+                    if found != expected:
+                        differences.append((number, name, args, expected, found))
+    return differences
+
+
+def _answer(method, args):
+    """What ``method(*args)`` returns, or the class of the error it raises."""
+    try:
+        return method(*args)
+    except Exception as error:
+        return type(error)

@@ -461,3 +461,31 @@ def test_truncated_aggregate_names_the_pair(capsys, tmp_path):
     assert code == 2
     assert "5 generations" in err
     assert "from <http://example.org/t#a> to <http://example.org/t#x>" in err
+
+
+# a vertex the graph lacks stops the command before any run, for every
+# metric and every command that takes one
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "--metric", "betweenness", "--vertex", "lanl:ghost"],
+        ["metric", "--metric", "closeness", "--vertex", "lanl:ghost"],
+        ["metric", "--metric", "eccentricity", "--vertex", "lanl:johan", "--vertices", "lanl:ghost"],
+        ["metric", "--metric", "radius", "--vertices", "lanl:johan", "--vertices", "lanl:ghost"],
+        ["metric", "--metric", "diameter", "--vertices", "lanl:ghost", "--vertices", "lanl:johan"],
+        ["encode", "--all-pairs", "--vertices", "lanl:johan", "--vertices", "lanl:ghost"],
+        ["oracle-check", "--vertices", "lanl:johan", "--vertices", "lanl:ghost"],
+    ],
+    ids=["betweenness", "closeness", "eccentricity", "radius", "diameter", "encode", "oracle-check"],
+)
+def test_a_vertex_the_graph_lacks_is_a_data_error(capsys, monkeypatch, tmp_path, argv):
+    runs = []
+    real_run = metrics.run
+    monkeypatch.setattr(metrics, "run", lambda *args, **kwargs: runs.append(args) or real_run(*args, **kwargs))
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args) or real_run(*args, **kwargs))
+    grammar = [] if argv[0] == "oracle-check" else ["--grammar", str(FIXTURES / "any_path.pg")]
+    out_file = ["--out", str(tmp_path / "p.nt")] if argv[0] == "encode" else []
+    code, out, err = run_cli(capsys, argv[0], *graph_args(), *grammar, *out_file, *argv[1:])
+    assert (code, out, err) == (2, "", "error: vertex 'lanl:ghost' does not occur in the graph\n")
+    assert runs == [] and not (tmp_path / "p.nt").exists()
+

@@ -43,7 +43,9 @@ from geograms.store import (
 
 from conftest import lanl, read_fixture
 from oracles import (
+    TEST_NS,
     build_pair_store,
+    provider_differences,
     random_grammar,
     random_multi_predicate_graph,
     t,
@@ -441,3 +443,31 @@ def test_merged_store_answers_each_grammar_as_its_own_store():
                 answers.setdefault(grammar_id, []).append(found)
     # the two grammars' stores disagree, so a read mixing them would show
     assert answers[GRAMMAR_ID] != answers[other_id]
+
+
+# -- the store against the walker, answer by answer -------------------------------------
+
+
+def _six_vertex_cases(seed: int, count: int, draw):
+    """(graph, grammar, the graph's vertices outside its schema) of ``count`` six-vertex cases."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        graph = random_multi_predicate_graph(rng, 6, rng.randint(6, 14))
+        universe = sorted(
+            {end for x in graph.triples if x.predicate.value.startswith(TEST_NS) for end in (x.subject, x.object)},
+            key=lambda r: r.value,
+        )
+        yield graph, draw(rng, graph), universe
+
+
+def _all_pairs_store(graph, grammar, universe):
+    return StorePaths(build_pair_store(graph, grammar, universe, GRAMMAR_ID), GRAMMAR_ID)
+
+
+@pytest.mark.parametrize("draw, seed, count", [("random", 5, 60), ("detour", 8, 80)])
+def test_store_paths_answer_as_the_walker_does(draw, seed, count):
+    from test_engine_golden import detour_grammar
+
+    grammar_of = {"random": random_grammar, "detour": detour_grammar}[draw]
+    cases = _six_vertex_cases(seed, count, grammar_of)
+    assert provider_differences(_all_pairs_store, cases) == []

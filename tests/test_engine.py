@@ -273,6 +273,42 @@ def test_path_count_past_start_raises(social_graph):
     assert "pathcount step 1 reaches before the start of the path at position 0" in str(info.value)
 
 
+RAISES_IN_GENERATION_1_DSL = """
+@prefix lanl: <http://www.lanl.gov#>
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#>
+context start entry for lanl:johan {
+  pathcount 0
+  traverse out rdfs:Resource -> mid
+}
+context mid for rdfs:Resource {
+  traverse out rdfs:Resource -> end, in rdfs:Resource -> deep
+}
+context deep for rdfs:Resource {
+  is 3
+}
+context end exit for lanl:norman {
+  pathcount 0
+}
+"""
+
+
+def test_a_generation_that_raises_leaves_the_trace_at_the_generations_before_it(social_graph):
+    # in generation 1 a mid walker counts and rejects the candidates of its
+    # first edge spec, then "is 3" reaches before the path start
+    grammar = parse_grammar_dsl(RAISES_IN_GENERATION_1_DSL, validate=False)
+    trace = RunTrace()
+    with pytest.raises(GrammarRuntimeError, match="is step 3 reaches before the start"):
+        run(social_graph, grammar, trace=trace)
+    first = RunTrace()
+    (frontier, _), _ = expand(social_graph, grammar, [Walker(0, "start", (step("johan"),))], next_id=1, trace=first)
+    assert frontier and trace.generations == first.generations
+    (generation,) = trace.generations
+    assert isinstance(generation.emitted, frozenset) and isinstance(generation.rejections, tuple)
+    assert trace.raw_candidates == generation.raw_candidates
+    assert trace.transitions_examined == len(generation.examined)
+    assert trace.walker_ids == {0} | {w.id for w in frontier}
+
+
 def test_an_unvalidated_exit_that_traverses_raises(social_graph):
     text = (
         "@prefix lanl: <http://www.lanl.gov#>\n"

@@ -101,7 +101,7 @@ def test_two_entries_rejected():
 @pytest.mark.parametrize(
     "old, new, error, message, line",
     [
-        ("@prefix ex:", "@prefix ex", ParseError, "malformed @prefix declaration", 2),
+        ("@prefix ex:", "@prefix ex", ParseError, "@prefix expects a name ending in ':' (line 2, column 11)", 2),
         ("}\ncontext b", "}\nrule x\ncontext b", ParseError, "expected 'context' or '@prefix', got 'rule'", 7),
         ("  pathcount 0\n}\n", "  pathcount 0\n", ParseError, "context 'b' is missing its closing brace", 9),
         ("for ex:end {\n", "for ex:end {\n  notever 1\n", ParseError, "notever takes no argument", 8),
@@ -120,6 +120,57 @@ def test_dsl_errors(old, new, error, message, line):
         parse_grammar_dsl(MINIMAL.replace(old, new))
     if line is not None:
         assert info.value.line == line
+
+
+# the same @prefix line in a graph file and in DSL text, at line 2 of each
+PREFIXED_GRAMMAR = """# a grammar
+{line}
+context a entry for {name}:a {{
+  pathcount 0
+  traverse out <urn:p> -> b
+}}
+context b exit for <urn:b> {{
+  pathcount 0
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "@prefix e: <urn:e#> .",
+        "@prefix e: <urn:e#>",
+        "@prefix : <urn:e#> .",
+        "@prefix 1e: <urn:e#> .",
+        "@prefix é: <urn:e#> .",
+        "@prefix e.f-g: <urn:e#> .",
+        "@prefix e : <urn:e#> .",
+        "@prefix e:<urn:e#> .",
+        "@prefix e <urn:e#> .",
+        "@prefix e: urn:e .",
+        "@prefix e: <urn:e#> . extra",
+        "@prefix e: <urn:e#> ..",
+    ],
+)
+def test_prefix_lines_read_alike_in_graph_files_and_dsl(line):
+    try:
+        ((name, namespace),) = load_ntriples(f"# a graph\n{line}\n").prefix_map.items()
+    except ParseError as error:
+        with pytest.raises(ParseError) as info:
+            parse_grammar_dsl(PREFIXED_GRAMMAR.format(line=line, name="e"))
+        assert str(info.value) == str(error)
+        return
+    grammar = parse_grammar_dsl(PREFIXED_GRAMMAR.format(line=line, name=name))
+    assert grammar.entry_context.for_resource == Iri(namespace + "a")
+
+
+def test_a_dsl_prefix_line_may_end_in_a_comment():
+    # only the DSL has trailing comments; a graph file reads '#' as text
+    line = "@prefix e: <urn:e#> .  # note"
+    grammar = parse_grammar_dsl(PREFIXED_GRAMMAR.format(line=line, name="e"))
+    assert grammar.entry_context.for_resource == Iri("urn:e#a")
+    with pytest.raises(ParseError, match="unexpected text after @prefix declaration"):
+        load_ntriples(line)
 
 
 # -- validator -------------------------------------------------------------------
