@@ -110,9 +110,20 @@ def test_two_entries_rejected():
         ("context b exit", "context a exit", GrammarLoadError, "duplicate context id 'a'", None),
         ("for ex:end", "for <>", ParseError, "cannot resolve resource '<>' (empty name)", 7),
         ("out ex:p", "out <>", ParseError, "cannot resolve resource '<>' (empty name)", 5),
+        ("for ex:end {", "for ex:end", ParseError, "malformed context header (expected 'context ID [entry|exit] for RESOURCE {')", 7),
+        ("context b exit", "context 1b exit", ParseError, "invalid context id '1b'", 7),
+        ("out ex:p -> b", "out ex:p b", ParseError, "malformed traverse edge 'out ex:p b'", 5),
+        ("for ex:end", "for zz:end", ParseError, "cannot resolve resource 'zz:end' (unknown prefix)", 7),
+        ("}\ncontext b", "}\n}\ncontext b", ParseError, "expected 'context' or '@prefix', got '}'", 7),
+        ("0\n  traverse", "0\n  context c for ex:c {\n  traverse", ParseError,
+         "unknown rule or attribute 'context'", 5),
+        ("  pathcount 0\n}\n", "  pathcount 0\n# one\n\n  # two\n", ParseError,
+         "context 'b' is missing its closing brace", 12),
     ],
     ids=["malformed-prefix", "top-level-word", "missing-brace", "notever-argument", "unknown-rule",
-         "step-not-natural", "duplicate-context-id", "empty-name", "empty-predicate"],
+         "step-not-natural", "duplicate-context-id", "empty-name", "empty-predicate",
+         "malformed-header", "invalid-context-id", "malformed-edge", "unknown-prefix",
+         "brace-outside-context", "context-inside-body", "missing-brace-before-comments"],
 )
 def test_dsl_errors(old, new, error, message, line):
     assert old in MINIMAL
