@@ -248,6 +248,9 @@ def _cmd_metric(args) -> int:
     kind = metrics.MetricKind(args.metric)
     if kind in metrics.VERTEX_KINDS and not args.vertex:
         raise _UsageError(f"--metric {kind.value} requires --vertex")
+    if kind is metrics.MetricKind.SHORTEST_PATH and (args.vertex or args.vertices):
+        flag = "--vertex" if args.vertex else "--vertices"
+        raise _UsageError(f"--metric shortest-path does not read {flag}; the grammar's entry and exit are the pair")
     vertex = _vertex(args.vertex, graph) if kind in metrics.VERTEX_KINDS else None
     universe = ()
     if kind is not metrics.MetricKind.SHORTEST_PATH:
@@ -278,6 +281,8 @@ def _cmd_encode(args) -> int:
     graph = _load_graph(args)
     grammar = _load_grammar(args.grammar, args.grammar_format)
     grammar_id = _resolve_token(args.grammar_id, graph)
+    if args.vertices and not args.all_pairs:
+        raise _UsageError("--vertices is read only with --all-pairs")
 
     records = []
     if args.all_pairs:

@@ -285,13 +285,15 @@ def index_of(graph: Graph) -> GraphIndex:
 # -- legal edge computation ------------------------------------------------------
 
 
-def _reach_back(length: int, step: int, kind: str, context_id: str) -> int:
-    """The trail position ``step`` before position ``length``, the one being resolved."""
-    if step > length:
-        raise GrammarRuntimeError(
-            f"{kind} step {step} reaches before the start of the path at position {length}",
-            context_id=context_id,
-        )
+def _reach_back(length: int, step: int, least: int, kind: str, context_id: str) -> int:
+    """The trail position ``step`` before position ``length``, the one being resolved.
+
+    ``least`` is the smallest step that lands on the trail: 0 for pathcount,
+    and 1 for is/not, whose position ``length`` is the vertex not yet reached.
+    """
+    if not least <= step <= length:
+        where = "before the start of the path" if step > length else "off the trail"
+        raise GrammarRuntimeError(f"{kind} step {step} reaches {where} at position {length}", context_id=context_id)
     return length - step
 
 
@@ -343,8 +345,8 @@ def legal_edges(
     visited = None  # the vertex ids of the trail, built for the first notever spec
     for order, spec in enumerate(specs):
         backward, admissible, admitted, is_steps, not_steps, notever, far_context = spec
-        required = {vids[_reach_back(len(vids), s, "is", far_context)] for s in is_steps} if is_steps else ()
-        excluded = {vids[_reach_back(len(vids), s, "not", far_context)] for s in not_steps} if not_steps else ()
+        required = {vids[_reach_back(len(vids), s, 1, "is", far_context)] for s in is_steps} if is_steps else ()
+        excluded = {vids[_reach_back(len(vids), s, 1, "not", far_context)] for s in not_steps} if not_steps else ()
         if notever and visited is None:
             visited = set(vids)
         blocked = visited if notever else ()
@@ -447,7 +449,7 @@ def expand(
             if isinstance(rule, PathCount):
                 # only the successors see the recorded path, so the walker
                 # itself stays as it is for the traverse rule
-                position = _reach_back(walker.time_index, rule.step, "pathcount", walker.context)
+                position = _reach_back(walker.time_index, rule.step, 0, "pathcount", walker.context)
                 recorded += (walker.trail[position],)
             elif context.kind is ContextKind.EXIT:
                 raise GrammarRuntimeError("exit context must not traverse", context_id=walker.context)

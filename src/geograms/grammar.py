@@ -198,14 +198,14 @@ def validate_grammar(grammar: Grammar) -> list[Violation]:
                             f"traverse edge targets undeclared context {edge.far_context!r}",
                         )
                     )
-        for attr in ctx.attributes:
-            if isinstance(attr, (Is, Not)) and attr.step < 1:
+        # the least step that names a trail position: is/not resolve the
+        # vertex not yet reached, pathcount the one the walker stands on
+        stepped = [(a, 1) for a in ctx.attributes if isinstance(a, (Is, Not))]
+        stepped += [(r, 0) for r in ctx.rules if isinstance(r, PathCount)]
+        for item, least in stepped:
+            if item.step < least:
                 violations.append(
-                    Violation(
-                        "error",
-                        ctx.id,
-                        f"{type(attr).__name__.lower()} step must be >= 1, got {attr.step}",
-                    )
+                    Violation("error", ctx.id, f"{type(item).__name__.lower()} step must be >= {least}, got {item.step}")
                 )
 
     violations.extend(_termination_hazards(grammar))
@@ -302,109 +302,84 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-class _DslParser:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.index = 0
-        self.prefix_map: dict = {}
+_HEADER = re.compile(r"context\s+(\S+)\s+(?:(entry|exit)\s+)?for\s+(\S+)\s*\{\s*$")
+_EDGE = re.compile(r"\s*(out|in)\s+(\S+)\s*->\s*(\S+)\s*$")
+_NATURAL = re.compile(r"\d+$")
+_KINDS = {"entry": ContextKind.ENTRY, "exit": ContextKind.EXIT, None: ContextKind.INTERMEDIATE}
 
-    def error(self, message: str, column: int | None = None) -> ParseError:
-        return ParseError(message, line=self.index + 1, column=column)
 
-    def next_line(self) -> str | None:
-        while self.index < len(self.lines):
-            stripped = _strip_comment(self.lines[self.index]).strip()
-            if stripped:
-                return stripped
-            self.index += 1
-        return None
-
-    def resolve(self, token: str) -> Iri:
-        bracketed = token.startswith("<") and token.endswith(">")
-        iri = expand_name(token[1:-1] if bracketed else token, self.prefix_map, bracketed)
-        if not iri:
-            why = "unknown prefix" if iri is None else "empty name"
-            raise self.error(f"cannot resolve resource {token!r} ({why})")
-        return Iri(iri)
-
-    def parse(self) -> list[GrammarContext]:
-        contexts = []
-        while True:
-            line = self.next_line()
-            if line is None:
-                break
-            if line.startswith("@prefix"):
-                name, namespace = prefix_declaration(line, self.index + 1)
-                self.prefix_map[name] = namespace
-                self.index += 1
-            elif line.startswith("context"):
-                contexts.append(self.parse_context(line))
-            else:
-                raise self.error(f"expected 'context' or '@prefix', got {line.split()[0]!r}")
-        return contexts
-
-    def parse_context(self, header: str) -> GrammarContext:
-        m = re.match(
-            r"context\s+(\S+)\s+(?:(entry|exit)\s+)?for\s+(\S+)\s*\{\s*$", header
-        )
-        if not m:
-            raise self.error("malformed context header (expected 'context ID [entry|exit] for RESOURCE {')")
-        ctx_id, kind_word, resource_tok = m.groups()
-        if not _IDENT.match(ctx_id):
-            raise self.error(f"invalid context id {ctx_id!r}")
-        kind = {
-            "entry": ContextKind.ENTRY,
-            "exit": ContextKind.EXIT,
-            None: ContextKind.INTERMEDIATE,
-        }[kind_word]
-        for_resource = self.resolve(resource_tok)
-        self.index += 1
-
-        rules: list[Rule] = []
-        attributes: set = set()
-        # a line is passed only once read, so an error names the line it is on
-        while (line := self.next_line()) != "}":
-            if line is None:
-                raise self.error(f"context {ctx_id!r} is missing its closing brace")
-            word, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if word == "pathcount":
-                rules.append(PathCount(self._nat(rest)))
-            elif word == "notever":
-                if rest:
-                    raise self.error("notever takes no argument")
-                attributes.add(NotEver())
-            elif word == "is":
-                attributes.add(Is(self._nat(rest)))
-            elif word == "not":
-                attributes.add(Not(self._nat(rest)))
-            elif word == "traverse":
-                rules.append(Traverse(self.parse_edges(rest)))
-            else:
-                raise self.error(f"unknown rule or attribute {word!r}")
-            self.index += 1
-        self.index += 1
-        return GrammarContext(ctx_id, kind, for_resource, tuple(rules), frozenset(attributes))
-
-    def _nat(self, text: str) -> int:
-        if not re.match(r"\d+$", text):
-            raise self.error(f"expected a natural number, got {text!r}")
-        return int(text)
-
-    def parse_edges(self, text: str) -> tuple[EdgeSpec, ...]:
-        edges = []
-        for part in text.split(","):
-            m = re.match(r"\s*(out|in)\s+(\S+)\s*->\s*(\S+)\s*$", part)
-            if not m:
-                raise self.error(f"malformed traverse edge {part.strip()!r}")
-            direction = Direction.FORWARD if m.group(1) == "out" else Direction.BACKWARD
-            edges.append(EdgeSpec(direction, self.resolve(m.group(2)), m.group(3)))
-        return tuple(edges)
+def _dsl_iri(token: str, prefix_map: dict, line_no: int) -> Iri:
+    """The IRI a DSL resource token, ``prefix:local`` or ``<iri>``, names."""
+    bracketed = token.startswith("<") and token.endswith(">")
+    iri = expand_name(token[1:-1] if bracketed else token, prefix_map, bracketed)
+    if not iri:
+        why = "unknown prefix" if iri is None else "empty name"
+        raise ParseError(f"cannot resolve resource {token!r} ({why})", line=line_no)
+    return Iri(iri)
 
 
 def parse_grammar_dsl(text: str, validate: bool = True) -> Grammar:
-    """Parse the textual grammar DSL; rule order in the text is execution order."""
-    return _assemble(_DslParser(text).parse(), validate=validate)
+    """Parse the textual grammar DSL; rule order in the text is execution order.
+
+    One pass reads the numbered lines, so an error names the line being
+    read; a context still open at the end names the line after the last.
+    """
+    lines = text.splitlines()
+    prefix_map: dict = {}
+    contexts = []
+    open_ctx = None  # (id, kind, resource) of the context whose body is being read
+    for line_no, raw in enumerate(lines, start=1):
+        line = _strip_comment(raw).strip()
+        if not line:
+            continue
+        if open_ctx is None:
+            if line.startswith("@prefix"):
+                name, namespace = prefix_declaration(line, line_no)
+                prefix_map[name] = namespace
+                continue
+            if not line.startswith("context"):
+                raise ParseError(f"expected 'context' or '@prefix', got {line.split()[0]!r}", line=line_no)
+            header = _HEADER.match(line)
+            if not header:
+                raise ParseError(
+                    "malformed context header (expected 'context ID [entry|exit] for RESOURCE {')", line=line_no
+                )
+            ctx_id, kind_word, resource_tok = header.groups()
+            if not _IDENT.match(ctx_id):
+                raise ParseError(f"invalid context id {ctx_id!r}", line=line_no)
+            open_ctx = (ctx_id, _KINDS[kind_word], _dsl_iri(resource_tok, prefix_map, line_no))
+            rules: list[Rule] = []
+            attributes: set = set()
+            continue
+        word, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if line == "}":
+            contexts.append(GrammarContext(*open_ctx, tuple(rules), frozenset(attributes)))
+            open_ctx = None
+        elif word == "notever":
+            if rest:
+                raise ParseError("notever takes no argument", line=line_no)
+            attributes.add(NotEver())
+        elif word == "traverse":
+            edges = []
+            for part in rest.split(","):
+                edge = _EDGE.match(part)
+                if not edge:
+                    raise ParseError(f"malformed traverse edge {part.strip()!r}", line=line_no)
+                direction = Direction.FORWARD if edge.group(1) == "out" else Direction.BACKWARD
+                edges.append(EdgeSpec(direction, _dsl_iri(edge.group(2), prefix_map, line_no), edge.group(3)))
+            rules.append(Traverse(tuple(edges)))
+        elif word not in ("pathcount", "is", "not"):
+            raise ParseError(f"unknown rule or attribute {word!r}", line=line_no)
+        elif not _NATURAL.match(rest):
+            raise ParseError(f"expected a natural number, got {rest!r}", line=line_no)
+        elif word == "pathcount":
+            rules.append(PathCount(int(rest)))
+        else:
+            attributes.add((Is if word == "is" else Not)(int(rest)))
+    if open_ctx is not None:
+        raise ParseError(f"context {open_ctx[0]!r} is missing its closing brace", line=len(lines) + 1)
+    return _assemble(contexts, validate=validate)
 
 
 def serialize_grammar_dsl(grammar: Grammar, prefix_map: dict | None = None) -> str:

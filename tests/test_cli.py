@@ -313,6 +313,16 @@ def test_module_entry_point_exits_2_on_a_missing_graph(tmp_path):
     assert done.stderr.startswith("error:")
 
 
+def test_module_entry_point_exits_0_and_1():
+    pair = ["metric", "--graph", str(FIXTURES / "social.nt"), "--grammar", str(FIXTURES / "researcher_path.pg"),
+            "--metric", "shortest-path"]
+    done = run_module(*pair)
+    assert (done.returncode, done.stdout.splitlines()[0]) == (0, "shortest-path = 2")
+    done = run_module(*pair, "--vertex", "lanl:johan")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("usage error:")
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "metric", "--metric", "shortest-path")
     assert code == 1
@@ -489,3 +499,44 @@ def test_a_vertex_the_graph_lacks_is_a_data_error(capsys, monkeypatch, tmp_path,
     assert (code, out, err) == (2, "", "error: vertex 'lanl:ghost' does not occur in the graph\n")
     assert runs == [] and not (tmp_path / "p.nt").exists()
 
+
+
+# a flag the command does not read is a usage error, not silently dropped
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["metric", "--metric", "shortest-path", "--vertex", "lanl:ghost", "--vertices", "lanl:ghost"], "--vertex"),
+        (["metric", "--metric", "shortest-path", "--vertices", "lanl:johan"], "--vertices"),
+        (["encode", "--vertices", "lanl:ghost"], "--vertices"),
+    ],
+    ids=["shortest-path-vertex", "shortest-path-vertices", "encode-without-all-pairs"],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, argv, flag):
+    out_file = ["--out", str(tmp_path / "p.nt")] if argv[0] == "encode" else []
+    grammar = ["--grammar", str(FIXTURES / "researcher_path.pg")]
+    code, out, err = run_cli(capsys, argv[0], *graph_args(), *grammar, *out_file, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and flag in err
+    assert not (tmp_path / "p.nt").exists()
+
+
+@pytest.fixture
+def negative_pathcount_grammar(tmp_path):
+    # a step the DSL cannot write, but the triple encoding can
+    path = tmp_path / "negative.nt"
+    text = read_fixture("researcher_path_grammar.nt")
+    old = 'psi:pathcount_3 rwr:step "2"^^xsd:int .'
+    assert old in text
+    path.write_text(text.replace(old, 'psi:pathcount_3 rwr:step "-1"^^xsd:int .'), encoding="utf-8")
+    return path
+
+
+def test_a_negative_pathcount_step_fails_validation(capsys, negative_pathcount_grammar):
+    code, out, _ = run_cli(capsys, "validate-grammar", "--grammar", str(negative_pathcount_grammar))
+    assert (code, out) == (2, "error Human_3: pathcount step must be >= 0, got -1\n")
+
+
+def test_a_negative_pathcount_step_is_a_grammar_error_before_any_run(capsys, negative_pathcount_grammar):
+    code, out, err = run_cli(capsys, "paths", *graph_args(), "--grammar", str(negative_pathcount_grammar))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid grammar: Human_3: pathcount step must be >= 0, got -1\n"

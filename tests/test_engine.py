@@ -147,6 +147,25 @@ def test_is_set_step_past_start_raises():
     assert "is step 2 reaches before the start of the path at position 1" in str(info.value)
 
 
+@pytest.mark.parametrize("attribute", ["is 0", "not 0"])
+def test_a_zero_is_or_not_step_names_no_trail_vertex(social_graph, attribute):
+    # validation rejects it; an unvalidated grammar meets it at run time
+    text = read_fixture("researcher_path.pg").replace("is 2", attribute)
+    grammar = parse_grammar_dsl(text, validate=False)
+    with pytest.raises(GrammarRuntimeError) as info:
+        run(social_graph, grammar)
+    assert info.value.context_id == "Human_3"
+    assert f"{attribute.replace(' ', ' step ')} reaches off the trail" in str(info.value)
+
+
+def test_a_negative_pathcount_step_names_no_trail_vertex(social_graph):
+    text = read_fixture("researcher_path_grammar.nt").replace('pathcount_3 rwr:step "2"', 'pathcount_3 rwr:step "-1"')
+    grammar = load_grammar_from_triples(load_ntriples(text), validate=False)
+    with pytest.raises(GrammarRuntimeError, match="pathcount step -1 reaches off the trail at position 3") as info:
+        run(social_graph, grammar)
+    assert info.value.context_id == "Human_3"
+
+
 def test_two_is_attributes_union_their_targets(social_graph):
     walker = Walker(
         0,
