@@ -11,6 +11,7 @@ from geograms.grammar import (
     Direction,
     EdgeSpec,
     Grammar,
+    GrammarContext,
     Is,
     Not,
     NotEver,
@@ -197,6 +198,79 @@ def test_notever_removal_yields_one_hazard_warning(researcher_grammar):
     violations = validate_grammar(grammar)
     assert [v.severity for v in violations] == ["warning"]
     assert "terminate" in violations[0].message
+    assert violations[0].context_id == "Human_1"
+
+
+HAZARD = "context cycle without a notever attribute may not terminate"
+
+# no context carries notever; a reaches b by two predicates
+CYCLES = """
+context s entry for <urn:s> {
+  pathcount 0
+  traverse out <urn:p> -> a
+}
+context a for <urn:a> {
+  traverse out <urn:p> -> b, out <urn:q> -> b, out <urn:p> -> c
+}
+context b for <urn:b> {
+  traverse out <urn:p> -> a, out <urn:p> -> b
+}
+context c for <urn:c> {
+  traverse out <urn:p> -> a, out <urn:p> -> t
+}
+context t exit for <urn:t> {
+  pathcount 0
+}
+"""
+
+
+def test_each_edge_closing_a_notever_free_cycle_warns_on_the_context_it_returns_to():
+    # depth-first from the least id: a -> b returns to a and to b, then
+    # a -> c returns to a; the repeated a -> b edge counts once
+    violations = validate_grammar(parse_grammar_dsl(CYCLES))
+    assert [(v.severity, v.context_id, v.message) for v in violations] == [
+        ("warning", "a", HAZARD),
+        ("warning", "b", HAZARD),
+        ("warning", "a", HAZARD),
+    ]
+
+
+def test_a_repeated_edge_back_onto_the_path_warns_once():
+    text = CYCLES.replace("out <urn:p> -> a, out <urn:p> -> b", "out <urn:p> -> a, out <urn:q> -> a, out <urn:p> -> b")
+    assert text != CYCLES
+    assert validate_grammar(parse_grammar_dsl(text)) == validate_grammar(parse_grammar_dsl(CYCLES))
+
+
+def test_only_the_first_traverse_rule_of_a_context_makes_cycles():
+    # a's second rule would close a self-loop on a; only its first counts
+    text = CYCLES.replace(
+        "traverse out <urn:p> -> b, out <urn:q> -> b, out <urn:p> -> c",
+        "traverse out <urn:p> -> c\n  traverse out <urn:p> -> a",
+    ).replace("traverse out <urn:p> -> a, out <urn:p> -> b", "traverse out <urn:p> -> t")
+    violations = validate_grammar(parse_grammar_dsl(text, validate=False))
+    assert [(v.severity, v.context_id) for v in violations] == [
+        ("error", "a"),
+        ("warning", "a"),
+    ]
+    assert violations[0].message == "context carries more than one traverse rule"
+
+
+def test_a_long_notever_free_ring_warns_once():
+    # deeper than the interpreter's recursion limit
+    ids = [f"c{i:04d}" for i in range(3000)]
+
+    def to(cid):
+        return Traverse((EdgeSpec(Direction.FORWARD, Iri("urn:p"), cid),))
+
+    contexts = [
+        GrammarContext("s", ContextKind.ENTRY, Iri("urn:s"), (PathCount(0), to(ids[0])), frozenset()),
+        GrammarContext("t", ContextKind.EXIT, Iri("urn:t"), (PathCount(0),), frozenset()),
+    ]
+    for cid, far in zip(ids, ids[1:] + ids[:1]):
+        contexts.append(GrammarContext(cid, ContextKind.INTERMEDIATE, Iri("urn:v"), (to(far),), frozenset()))
+    grammar = Grammar({c.id: c for c in contexts}, "s", "t")
+    violations = validate_grammar(grammar)
+    assert [(v.severity, v.context_id, v.message) for v in violations] == [("warning", "c0000", HAZARD)]
 
 
 def test_is_step_zero_is_an_error(researcher_grammar):
