@@ -213,49 +213,34 @@ def validate_grammar(grammar: Grammar) -> list[Violation]:
 
 
 def _termination_hazards(grammar: Grammar) -> list[Violation]:
-    """Warn on directed context cycles none of whose members carry notever."""
-    unguarded = {
-        cid for cid, ctx in grammar.contexts.items() if not ctx.has_not_ever
+    """One warning, naming the context returned to, per edge back onto the current
+    depth-first path through notever-free contexts, searched from each in id order."""
+    unguarded = {cid for cid, ctx in grammar.contexts.items() if not ctx.has_not_ever}
+    # the far contexts of each first traverse rule, once each, in edge order
+    edges = {
+        cid: dict.fromkeys(e.far_context for e in (ctx.traverse_rule or Traverse(())).edges if e.far_context in unguarded)
+        for cid, ctx in grammar.contexts.items()
+        if cid in unguarded
     }
-    edges: dict = {cid: [] for cid in unguarded}
-    for cid in unguarded:
-        rule = grammar.contexts[cid].traverse_rule
-        if rule is None:
-            continue
-        for edge in rule.edges:
-            if edge.far_context in unguarded and edge.far_context not in edges[cid]:
-                edges[cid].append(edge.far_context)
-
-    # Iterative DFS three-coloring; any back edge inside the unguarded
-    # subgraph means a runaway loop is possible.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in unguarded}
     hazards = []
+    on_path, done = set(), set()
     for root in sorted(unguarded):
-        if color[root] != WHITE:
+        if root in done:
             continue
+        on_path.add(root)
         stack = [(root, iter(edges[root]))]
-        color[root] = GREY
         while stack:
             node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    hazards.append(
-                        Violation(
-                            "warning",
-                            nxt,
-                            "context cycle without a notever attribute may not terminate",
-                        )
-                    )
-                elif color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(edges[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
+            nxt = next(it, None)
+            if nxt is None:
                 stack.pop()
+                on_path.remove(node)
+                done.add(node)
+            elif nxt in on_path:
+                hazards.append(Violation("warning", nxt, "context cycle without a notever attribute may not terminate"))
+            elif nxt not in done:
+                on_path.add(nxt)
+                stack.append((nxt, iter(edges[nxt])))
     return hazards
 
 
@@ -351,8 +336,8 @@ def parse_grammar_dsl(text: str, validate: bool = True) -> Grammar:
             rules: list[Rule] = []
             attributes: set = set()
             continue
-        word, _, rest = line.partition(" ")
-        rest = rest.strip()
+        word = line.split(maxsplit=1)[0]
+        rest = line[len(word):].strip()
         if line == "}":
             contexts.append(GrammarContext(*open_ctx, tuple(rules), frozenset(attributes)))
             open_ctx = None

@@ -278,6 +278,16 @@ def test_oracle_check_passes_on_fixture(capsys):
     assert payload["pairs"] == 20 and payload["mismatches"] == []
 
 
+def test_oracle_check_answers_a_vertex_only_schema_triples_mention_as_unreachable(capsys):
+    # lanl:Human occurs in the graph, but only as an rdf:type object, so the
+    # unlabeled projection the check walks does not hold it
+    code, out, err = run_cli(
+        capsys, "oracle-check", *graph_args(), "--vertices", "lanl:Human", "--vertices", "lanl:johan", "--output", "json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"pairs": 2, "mismatches": []}
+
+
 def test_oracle_check_reports_mismatch(capsys, monkeypatch):
     real = metrics.unlabeled_oracle_geodesics
 
@@ -419,11 +429,12 @@ FOUR_HUMANS = [
     "kind", ["eccentricity", "radius", "diameter", "closeness", "betweenness"]
 )
 def test_metric_aggregate_any_path_golden(capsys, kind):
+    vertex = ["--vertex", "lanl:marko"] if kind in ("eccentricity", "closeness", "betweenness") else []
     code, out, _ = run_cli(
         capsys,
         "metric", *graph_args(),
         "--grammar", str(FIXTURES / "any_path.pg"),
-        "--metric", kind, "--vertex", "lanl:marko", *FOUR_HUMANS, "--output", "json",
+        "--metric", kind, *vertex, *FOUR_HUMANS, "--output", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -508,8 +519,11 @@ def test_a_vertex_the_graph_lacks_is_a_data_error(capsys, monkeypatch, tmp_path,
         (["metric", "--metric", "shortest-path", "--vertex", "lanl:ghost", "--vertices", "lanl:ghost"], "--vertex"),
         (["metric", "--metric", "shortest-path", "--vertices", "lanl:johan"], "--vertices"),
         (["encode", "--vertices", "lanl:ghost"], "--vertices"),
+        (["metric", "--metric", "radius", "--vertex", "lanl:ghost", "--vertices", "lanl:johan"], "--vertex"),
+        (["metric", "--metric", "diameter", "--vertex", "lanl:johan", "--vertices", "lanl:johan"], "--vertex"),
     ],
-    ids=["shortest-path-vertex", "shortest-path-vertices", "encode-without-all-pairs"],
+    ids=["shortest-path-vertex", "shortest-path-vertices", "encode-without-all-pairs", "radius-vertex",
+         "diameter-vertex"],
 )
 def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, argv, flag):
     out_file = ["--out", str(tmp_path / "p.nt")] if argv[0] == "encode" else []

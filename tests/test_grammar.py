@@ -134,6 +134,14 @@ def test_dsl_errors(old, new, error, message, line):
         assert info.value.line == line
 
 
+def test_any_whitespace_separates_a_word_and_its_argument(researcher_grammar):
+    text = read_fixture("researcher_path.pg")
+    for word in ("pathcount", "is", "traverse"):
+        assert f"  {word} " in text
+        text = text.replace(f"  {word} ", f"  {word}\t")
+    assert parse_grammar_dsl(text.replace("  is\t", "  is \t ")) == researcher_grammar
+
+
 # the same @prefix line in a graph file and in DSL text, at line 2 of each
 PREFIXED_GRAMMAR = """# a grammar
 {line}
