@@ -576,6 +576,50 @@ def test_truncation_inside_eccentricity_names_the_pair():
     assert repr(t("x")) in str(info.value)
 
 
+# s -> a is an instance of the class target C, so a step onto a resolves
+# into the exit context and its record (s, a) finishes without reaching C;
+# C itself is reached later, through b and through b, g
+ABSORBING_GRAPH = load_ntriples(
+    "<urn:s> <urn:p> <urn:a> .\n"
+    "<urn:a> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:C> .\n"
+    "<urn:s> <urn:p> <urn:b> .\n"
+    "<urn:b> <urn:p> <urn:C> .\n"
+    "<urn:b> <urn:p> <urn:g> .\n"
+    "<urn:g> <urn:p> <urn:C> .\n"
+    "<urn:b> <urn:p> <urn:d> .\n"
+    "<urn:d> <urn:p> <urn:e> .\n"
+)
+
+
+def _urn_path(*names):
+    return tuple(Iri("urn:" + name) for name in names)
+
+
+def test_a_record_absorbed_by_a_class_target_is_not_returned():
+    from geograms.grammar import unconstrained_grammar
+
+    grammar = unconstrained_grammar(Iri("urn:s"), Iri("urn:C"))
+    trace = RunTrace()
+    records = run(ABSORBING_GRAPH, grammar, RunMode.ALL_PATHS, 20, trace=trace)
+    # the absorbed record is the only one finished in generation 1
+    assert [g.finished_count for g in trace.generations][:3] == [0, 1, 1]
+    assert {r.vertices() for r in records} == {_urn_path("s", "b", "C"), _urn_path("s", "b", "g", "C")}
+    shortest = run(ABSORBING_GRAPH, grammar, RunMode.SHORTEST_ONLY, 20)
+    assert {r.vertices() for r in shortest} == {_urn_path("s", "b", "C")}
+
+
+def test_truncation_keeps_no_record_absorbed_by_a_class_target():
+    from geograms.grammar import unconstrained_grammar
+
+    grammar = unconstrained_grammar(Iri("urn:s"), Iri("urn:C"))
+    with pytest.raises(TruncationError) as info:
+        run(ABSORBING_GRAPH, grammar, RunMode.ALL_PATHS, 3)
+    assert {r.vertices() for r in info.value.partial_records} == {_urn_path("s", "b", "C")}
+    with pytest.raises(TruncationError) as info:
+        run(ABSORBING_GRAPH, grammar, RunMode.ALL_PATHS, 2)
+    assert info.value.partial_records == frozenset()
+
+
 def test_visit_bound_on_unconstrained_shortest(social_graph, any_path_grammar):
     trace = RunTrace()
     run(social_graph, any_path_grammar, RunMode.SHORTEST_ONLY, 50, trace=trace)
