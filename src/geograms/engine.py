@@ -6,7 +6,8 @@ with the predicate and direction used to get there) and its recorded path
 path).  Each generation, every frontier walker executes its context's
 rules in order; a traverse rule with several legal transitions clones the
 walker, one clone per transition.  Walkers reaching the exit context run
-its rules and retire their recorded path into the result set.
+its rules and retire their recorded path, which the run keeps only when
+it runs from the source to the sink.
 
 Walkers step on integer ids, and each rule has one implementation, on
 them: ``legal_edges`` applies is, not and notever, ``expand`` pathcount,
@@ -339,11 +340,9 @@ def legal_edges(
     index = index_of(graph)
     vids = index.vertex_ids(walker)
     triples, _, out, into, _ = index.moves[vids[-1]]
-    specs = index.resolve(grammar, rule)
-    width = len(specs)
-    best: dict = {}  # move -> (rank * width + spec order, far context)
+    best: dict = {}  # move -> (specificity rank, far context), the first spec at the best rank
     visited = None  # the vertex ids of the trail, built for the first notever spec
-    for order, spec in enumerate(specs):
+    for spec in index.resolve(grammar, rule):
         backward, admissible, admitted, is_steps, not_steps, notever, far_context = spec
         required = {vids[_reach_back(len(vids), s, 1, "is", far_context)] for s in is_steps} if is_steps else ()
         excluded = {vids[_reach_back(len(vids), s, 1, "not", far_context)] for s in not_steps} if not_steps else ()
@@ -353,7 +352,6 @@ def legal_edges(
         candidates = into if backward else out
         if collector is not None:
             collector.raw_candidates += len(candidates)
-            collector.examined.update((triples[m >> 1], _DIRECTIONS[backward]) for m, _, _, _ in candidates)
         for move, far, name, _ in candidates:
             if admissible is not None and not admissible[name]:
                 reason = "predicate"
@@ -366,9 +364,8 @@ def legal_edges(
             elif far in blocked:
                 reason = "notever"
             else:
-                weight = rank * width + order
-                if move not in best or weight < best[move][0]:
-                    best[move] = (weight, far_context)
+                if move not in best or rank < best[move][0]:
+                    best[move] = (rank, far_context)
                 continue
             if collector is not None:
                 collector.rejections.append(
@@ -387,13 +384,11 @@ class GenerationTrace:
     """One generation of a traced run, which ``legal_edges`` and ``expand`` fill;
     ``expand`` appends it, frozen, to ``RunTrace.generations`` when the generation ends."""
 
-    index: int
     frontier_size: int = 0
     finished_count: int = 0
     emitted: frozenset = field(default_factory=set)
     rejections: tuple = field(default_factory=list)
     raw_candidates: int = 0
-    examined: set = field(default_factory=set)
 
 
 @dataclass
@@ -409,16 +404,11 @@ class RunTrace:
 
     @property
     def transitions_examined(self) -> int:
-        """Distinct (triple, direction) pairs examined across the whole run."""
-        return len(set().union(*(g.examined for g in self.generations)))
+        """Distinct (triple, direction) pairs rejected or emitted across the whole run."""
+        return len({(m.triple, m.direction) for g in self.generations for m in (*g.rejections, *g.emitted)})
 
 
 # -- frontier expansion ------------------------------------------------------------
-
-
-class ExpandResult(NamedTuple):
-    frontier: tuple
-    finished: frozenset
 
 
 def expand(
@@ -428,17 +418,17 @@ def expand(
     *,
     next_id: int = 0,
     trace: RunTrace | None = None,
-) -> tuple[ExpandResult, int]:
+) -> tuple[tuple[tuple, frozenset], int]:
     """One synchronous generation step over every walker in the frontier.
 
-    Each walker in id order runs its context's rules.  Returns the new
-    frontier, the records finished this generation, and the next free
-    walker id.  Successors are created in walker order and then in the
+    Each walker in id order runs its context's rules.  Returns the pair
+    ((the new frontier, the records finished this generation), the next
+    free walker id).  Successors are created in walker order and then in the
     order ``legal_edges`` returns transitions, so ids, and therefore every
     downstream artifact, do not depend on set iteration order.
     """
     index = index_of(graph)
-    record = GenerationTrace(len(trace.generations)) if trace is not None else None
+    record = GenerationTrace() if trace is not None else None
     successors = []
     finished = set()
     for walker in sorted(frontier, key=_walker_id):
@@ -475,7 +465,7 @@ def expand(
         record.emitted, record.rejections = frozenset(record.emitted), tuple(record.rejections)
         trace.walker_ids.update(walker.id for walker in successors)
         trace.generations.append(record)
-    return ExpandResult(tuple(successors), records), next_id
+    return (tuple(successors), records), next_id
 
 
 _walker_id = attrgetter("id")
@@ -495,12 +485,14 @@ def run(
 ) -> frozenset:
     """Execute the grammar over the graph and return the set of path records.
 
-    In SHORTEST_ONLY mode the run stops at the first generation that
-    completes any path; that generation's records are the tied-shortest
-    set.  In ALL_PATHS mode the run continues until no walkers remain.  If
+    Only a record that runs from the source to the sink is kept; one that
+    a walker retires elsewhere, say on an instance of a class sink, is not.
+    In SHORTEST_ONLY mode the run stops at the first generation that keeps
+    any record; that generation's records are the tied-shortest set.  In
+    ALL_PATHS mode the run continues until no walkers remain.  If
     ``max_steps`` generations elapse with walkers still alive, the run
     aborts with a truncation error naming the endpoint pair and carrying
-    all paths completed so far.  Runs are single-threaded; ``workers`` is
+    every record kept so far.  Runs are single-threaded; ``workers`` is
     checked and otherwise ignored, so every worker count gives the same
     output.
     """
@@ -514,34 +506,20 @@ def run(
         raise UnresolvableEntryError(
             f"entry vertex {source!r} does not occur in the graph"
         )
-    sink_vertex = grammar.exit_context.for_resource
-
-    def accepted(record: PathRecord) -> bool:
-        return (
-            len(record.steps) > 0
-            and record.steps[0].vertex == source
-            and record.steps[-1].vertex == sink_vertex
-        )
-
+    ends = (source, grammar.exit_context.for_resource)
     seed = Walker(0, grammar.entry, (PathStep(source),))
     if trace is not None:
         trace.walker_ids.add(seed.id)
     frontier: tuple = (seed,)
     next_id = 1
     results: set = set()
-    generation = 0
-    while frontier:
-        if generation >= max_steps:
-            raise TruncationError(
-                max_steps,
-                frozenset(r for r in results if accepted(r)),
-                (source, sink_vertex),
-            )
-        (frontier, newly), next_id = expand(graph, grammar, frontier, next_id=next_id, trace=trace)
-        results.update(newly)
-        if mode is RunMode.SHORTEST_ONLY:
-            found = frozenset(r for r in newly if accepted(r))
-            if found:
-                return found
-        generation += 1
-    return frozenset(r for r in results if accepted(r))
+    for _ in range(max_steps):
+        (frontier, finished), next_id = expand(graph, grammar, frontier, next_id=next_id, trace=trace)
+        # a record counts only when it runs from the source to the sink
+        found = frozenset(r for r in finished if r.steps and (r.steps[0].vertex, r.steps[-1].vertex) == ends)
+        if found and mode is RunMode.SHORTEST_ONLY:
+            return found
+        results.update(found)
+        if not frontier:
+            return frozenset(results)
+    raise TruncationError(max_steps, frozenset(results), ends)

@@ -322,7 +322,7 @@ def test_a_generation_that_raises_leaves_the_trace_at_the_generations_before_it(
     (generation,) = trace.generations
     assert isinstance(generation.emitted, frozenset) and isinstance(generation.rejections, tuple)
     assert trace.raw_candidates == generation.raw_candidates
-    assert trace.transitions_examined == len(generation.examined)
+    assert trace.transitions_examined == len({(m.triple, m.direction) for m in (*generation.rejections, *generation.emitted)})
     assert trace.walker_ids == {0} | {w.id for w in frontier}
 
 
