@@ -68,9 +68,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(raw: str) -> int:
-    if not raw.strip().isdigit() or int(raw) < 1:
+    digits = raw.strip()
+    if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
-    return int(raw)
+    return int(digits)
 
 
 def _default_max_steps() -> int:

@@ -289,7 +289,7 @@ def _strip_comment(line: str) -> str:
 
 _HEADER = re.compile(r"context\s+(\S+)\s+(?:(entry|exit)\s+)?for\s+(\S+)\s*\{\s*$")
 _EDGE = re.compile(r"\s*(out|in)\s+(\S+)\s*->\s*(\S+)\s*$")
-_NATURAL = re.compile(r"\d+$")
+_NATURAL = re.compile(r"[0-9]+$")
 _KINDS = {"entry": ContextKind.ENTRY, "exit": ContextKind.EXIT, None: ContextKind.INTERMEDIATE}
 
 
@@ -450,14 +450,17 @@ def _single_object(graph: Graph, subject: Resource, predicate: Iri, what: str) -
     return next(iter(found)).object
 
 
+# the lexical form of xsd:integer: an optional sign, then ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _step_of(graph: Graph, node: Resource, what: str) -> int:
     value = _single_object(graph, node, RWR_STEP, what)
     if not isinstance(value, Literal):
         raise GrammarLoadError(f"{what}: step of {node!r} must be a literal")
-    try:
-        return int(value.lexical)
-    except ValueError:
-        raise GrammarLoadError(f"{what}: step {value.lexical!r} is not an integer") from None
+    if not _INTEGER.fullmatch(value.lexical):
+        raise GrammarLoadError(f"{what}: step {value.lexical!r} is not an integer")
+    return int(value.lexical)
 
 
 def load_grammar_from_triples(graph: Graph, validate: bool = True) -> Grammar:
@@ -557,7 +560,9 @@ def unconstrained_grammar(source: Resource, sink: Resource) -> Grammar:
 
     Every context resolves to any vertex (``rdfs:Resource``), every edge
     label matches, and both edge directions are open; non-recurrence comes
-    from the hub context's notever attribute.
+    from the hub context's notever attribute.  The view is exact only when
+    no vertex is typed by the sink: the sink context also admits its
+    instances, so a walker stepping onto one retires there without a record.
     """
     def both_ways(targets):
         return tuple(

@@ -471,6 +471,41 @@ def test_env_max_steps_zero_is_usage_error(capsys, monkeypatch):
     assert cli.ENV_MAX_STEPS in err
 
 
+def test_the_instances_of_a_class_endpoint_are_dead_ends(capsys):
+    # Researcher <-hasPosition- marko -rdf:type-> Human is a 2-edge walk, but
+    # marko is typed Human, so a step onto marko resolves into the exit
+    # context and its walker retires there without reaching Human
+    code, out, _ = run_cli(
+        capsys,
+        "metric", *graph_args(),
+        "--grammar", str(FIXTURES / "any_path.pg"),
+        "--metric", "eccentricity", "--vertex", "lanl:Researcher",
+        "--vertices", "lanl:Human", "--vertices", "lanl:Researcher",
+        "--output", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["defined"], payload["skipped_targets"]) == (None, False, 1)
+    assert payload["witness_paths"] == []
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])  # ARABIC-INDIC THREE, SUPERSCRIPT TWO
+@pytest.mark.parametrize("where", ["flag", "env"])
+def test_a_count_is_read_as_ascii_digits_only(capsys, monkeypatch, digit, where):
+    flags = ("--max-steps", digit) if where == "flag" else ()
+    if where == "env":
+        monkeypatch.setenv(cli.ENV_MAX_STEPS, digit)
+    code, out, err = run_cli(
+        capsys,
+        "paths", *graph_args(),
+        "--grammar", str(FIXTURES / "researcher_path.pg"),
+        "--mode", "shortest", *flags,
+    )
+    assert (code, out) == (1, "")
+    assert f"must be an integer >= 1, got {digit!r}" in err
+    assert ("--max-steps" if where == "flag" else cli.ENV_MAX_STEPS) in err
+
+
 def test_truncated_aggregate_names_the_pair(capsys, tmp_path):
     code, out, err = run_cli(
         capsys,

@@ -142,6 +142,12 @@ def test_any_whitespace_separates_a_word_and_its_argument(researcher_grammar):
     assert parse_grammar_dsl(text.replace("  is\t", "  is \t ")) == researcher_grammar
 
 
+def test_a_dsl_step_is_read_as_ascii_digits():
+    text = read_fixture("researcher_path.pg").replace("pathcount 2", "pathcount \u0662")  # ARABIC-INDIC TWO
+    with pytest.raises(ParseError, match="expected a natural number, got '\u0662'"):
+        parse_grammar_dsl(text)
+
+
 # the same @prefix line in a graph file and in DSL text, at line 2 of each
 PREFIXED_GRAMMAR = """# a grammar
 {line}
@@ -505,6 +511,15 @@ def test_grammar_graph_rule_sequence_must_run_from_one_once_each(member, indexes
     )
     with pytest.raises(GrammarLoadError, match=re.escape(message)):
         load_grammar_from_triples(load_ntriples(text))
+
+
+@pytest.mark.parametrize("step", ["2_0", "\u0662", " 2"])  # \u0662: ARABIC-INDIC TWO
+def test_a_triple_encoded_step_is_an_xsd_integer_of_ascii_digits(step):
+    text = read_fixture("researcher_path_grammar.nt")
+    with pytest.raises(GrammarLoadError, match=re.escape(f"step {step!r} is not an integer")):
+        load_grammar_from_triples(load_ntriples(text.replace('pathcount_3 rwr:step "2"', f'pathcount_3 rwr:step "{step}"')))
+    signed = load_grammar_from_triples(load_ntriples(text.replace('pathcount_3 rwr:step "2"', 'pathcount_3 rwr:step "+2"')))
+    assert signed == load_grammar_from_triples(load_ntriples(text))
 
 
 @pytest.mark.parametrize(
