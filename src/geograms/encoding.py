@@ -20,9 +20,12 @@ grammar identifiers.  The first read for a grammar decodes each of its
 paths once into an endpoint index, (first vertex, last vertex) -> {path
 node: decoded record}, which the store keeps (``Graph.derived``); every
 later read for that grammar is a lookup in it and makes no ``Graph.match``
-call.  ``query_X`` and ``query_Y`` are the only reads.  ``StorePaths``
-answers through ``query_X``, taking its witness records from the index,
-and counts ``through`` by ``metrics.through_share``, as ``WalkerPaths`` does.
+call.  Two named queries read the index: ``query_X`` selects a pair's
+stored paths, and ``query_Y`` the shortest of them that hold a vertex
+strictly inside, the rule by which ``metrics.through_share`` counts.
+``StorePaths`` answers through ``query_X``, taking its witness records from
+the index, and counts ``through`` by ``through_share``, as ``WalkerPaths``
+does; ``decode_paths`` returns every stored record without the index.
 """
 
 from __future__ import annotations
@@ -194,10 +197,10 @@ def query_Y(
     through: Resource,
     grammar_id: Resource,
 ) -> frozenset:
-    """Shortest stored source-to-sink paths holding ``through`` at a segment before the last."""
+    """Shortest stored source-to-sink paths holding ``through`` strictly inside, as ``through_share`` counts."""
     records = _endpoint_index(store, grammar_id).get((source, sink), _NO_PATHS)
     shortest = ms_shortest_paths(query_X(store, source, sink, grammar_id))
-    return frozenset(path for path in shortest if through in records[path].vertices()[:-1])
+    return frozenset(path for path in shortest if through in records[path].vertices()[1:-1])
 
 
 # -- metrics from the store ------------------------------------------------------

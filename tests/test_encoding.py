@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -28,6 +29,7 @@ from geograms.metrics import (
     project_to_unlabeled,
     radius,
     shortest_path,
+    through_share,
 )
 from geograms.store import (
     RDF_NS,
@@ -252,12 +254,9 @@ def test_query_y_absent_vertex(two_path_store):
 
 
 def test_query_y_through_equal_to_source(two_path_store):
-    # the raw query matches the source at the first segment; excluding the
-    # endpoints is the metric layer's job, which iterates distinct triples
+    # an endpoint is not strictly inside its own path
     found = query_Y(two_path_store, lanl("johan"), lanl("norman"), lanl("johan"), GRAMMAR_ID)
-    assert found == ms_shortest_paths(
-        query_X(two_path_store, lanl("johan"), lanl("norman"), GRAMMAR_ID)
-    )
+    assert found == frozenset()
 
 
 def test_endpoint_index_is_built_by_the_first_read_and_kept(monkeypatch):
@@ -462,6 +461,19 @@ def _six_vertex_cases(seed: int, count: int, draw):
 
 def _all_pairs_store(graph, grammar, universe):
     return StorePaths(build_pair_store(graph, grammar, universe, GRAMMAR_ID), GRAMMAR_ID)
+
+
+@pytest.mark.parametrize("draw, seed, count", [("random", 5, 15), ("detour", 8, 15)])
+def test_query_y_selects_by_the_rule_of_through_share(draw, seed, count):
+    from test_engine_golden import detour_grammar
+
+    grammar_of = {"random": random_grammar, "detour": detour_grammar}[draw]
+    for graph, grammar, universe in _six_vertex_cases(seed, count, grammar_of):
+        paths = _all_pairs_store(graph, grammar, universe)
+        # every (j, k, v), endpoints included; no witnesses, no share, no paths
+        for j, k, v in itertools.product(universe, repeat=3):
+            share = through_share(paths.witnesses(j, k), v)
+            assert len(query_Y(paths.store, j, k, v, GRAMMAR_ID)) == (share[0] if share else 0), (j, k, v)
 
 
 @pytest.mark.parametrize("draw, seed, count", [("random", 5, 60), ("detour", 8, 80)])
