@@ -515,7 +515,6 @@ def run(
     results: set = set()
     for _ in range(max_steps):
         (frontier, finished), next_id = expand(graph, grammar, frontier, next_id=next_id, trace=trace)
-        # a record counts only when it runs from the source to the sink
         found = frozenset(r for r in finished if r.steps and (r.steps[0].vertex, r.steps[-1].vertex) == ends)
         if found and mode is RunMode.SHORTEST_ONLY:
             return found

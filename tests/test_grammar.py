@@ -108,6 +108,9 @@ def test_two_entries_rejected():
         ("for ex:end {\n", "for ex:end {\n  notever 1\n", ParseError, "notever takes no argument", 8),
         ("0\n  traverse", "0\n  jump 1\n  traverse", ParseError, "unknown rule or attribute 'jump'", 5),
         ("pathcount 0\n  traverse", "pathcount -1\n  traverse", ParseError, "expected a natural number, got '-1'", 4),
+        # ARABIC-INDIC TWO, a Unicode digit that int() would read as 2
+        ("pathcount 0\n  traverse", "pathcount \u0662\n  traverse", ParseError,
+         "expected a natural number, got '\u0662'", 4),
         ("context b exit", "context a exit", GrammarLoadError, "duplicate context id 'a'", None),
         ("for ex:end", "for <>", ParseError, "cannot resolve resource '<>' (empty name)", 7),
         ("out ex:p", "out <>", ParseError, "cannot resolve resource '<>' (empty name)", 5),
@@ -122,7 +125,7 @@ def test_two_entries_rejected():
          "context 'b' is missing its closing brace", 12),
     ],
     ids=["malformed-prefix", "top-level-word", "missing-brace", "notever-argument", "unknown-rule",
-         "step-not-natural", "duplicate-context-id", "empty-name", "empty-predicate",
+         "step-not-natural", "step-not-ascii", "duplicate-context-id", "empty-name", "empty-predicate",
          "malformed-header", "invalid-context-id", "malformed-edge", "unknown-prefix",
          "brace-outside-context", "context-inside-body", "missing-brace-before-comments"],
 )
@@ -140,12 +143,6 @@ def test_any_whitespace_separates_a_word_and_its_argument(researcher_grammar):
         assert f"  {word} " in text
         text = text.replace(f"  {word} ", f"  {word}\t")
     assert parse_grammar_dsl(text.replace("  is\t", "  is \t ")) == researcher_grammar
-
-
-def test_a_dsl_step_is_read_as_ascii_digits():
-    text = read_fixture("researcher_path.pg").replace("pathcount 2", "pathcount \u0662")  # ARABIC-INDIC TWO
-    with pytest.raises(ParseError, match="expected a natural number, got '\u0662'"):
-        parse_grammar_dsl(text)
 
 
 # the same @prefix line in a graph file and in DSL text, at line 2 of each
