@@ -42,12 +42,14 @@ from .store import (
     Graph,
     Iri,
     Resource,
+    SubsumptionMode,
     expand_name,
     load_ntriples,
     resource_key,
 )
 
 ENV_MAX_STEPS = "GEOGRAMS_MAX_STEPS"
+DEFAULT_GRAMMAR_ID = "rwrx:grammar_0"
 
 BUILTIN_PREFIXES = {
     "rdf": RDF_NS,
@@ -82,73 +84,50 @@ def _default_max_steps() -> int:
         raise _UsageError(f"{ENV_MAX_STEPS} {exc}") from None
 
 
-def _add_common(parser, with_grammar=True):
-    parser.add_argument(
-        "--graph", action="append", required=True, metavar="FILE",
-        help="triple file to load; repeatable, files are merged",
-    )
-    if with_grammar:
-        parser.add_argument("--grammar", required=True, metavar="FILE")
-        parser.add_argument(
-            "--grammar-format", choices=["dsl", "triples"], default=None,
-            help="defaults by extension: .nt loads as triples, anything else as DSL",
-        )
-    parser.add_argument("--max-steps", type=_positive_int, default=None, metavar="N")
-    parser.add_argument(
-        "--subsumption", choices=["closure", "single-hop"], default="closure"
-    )
-    parser.add_argument("--output", choices=["json", "text"], default="text")
-    parser.add_argument(
-        "--threads", type=_positive_int, default=1, metavar="N",
-        help="accepted for compatibility; runs are single-threaded",
-    )
+# each flag once; a command takes only the flags it reads
+_FLAGS = {
+    "--graph": dict(action="append", required=True, metavar="FILE",
+                    help="triple file to load; repeatable, files are merged"),
+    "--grammar": dict(required=True, metavar="FILE"),
+    "--grammar-format": dict(choices=["dsl", "triples"],
+                             help="defaults by extension: .nt loads as triples, anything else as DSL"),
+    "--max-steps": dict(type=_positive_int, metavar="N"),
+    "--subsumption": dict(choices=["closure", "single-hop"], default="closure"),
+    "--threads": dict(type=_positive_int, default=1, metavar="N",
+                      help="accepted for compatibility; runs are single-threaded"),
+    "--mode": dict(choices=["all", "shortest"], default="all"),
+    "--encode-out": dict(metavar="FILE"),
+    "--out": dict(required=True, metavar="FILE"),
+    "--grammar-id": dict(metavar="RESOURCE", help=f"grammar the encoded paths name; default {DEFAULT_GRAMMAR_ID}"),
+    "--metric": dict(required=True, choices=[k.value for k in metrics.MetricKind]),
+    "--vertex": dict(metavar="RESOURCE"),
+    "--vertices": dict(action="append", metavar="RESOURCE",
+                       help="vertex universe; repeatable; defaults to the vertices typed like the grammar's entry, "
+                       "or for oracle-check to every vertex of the unlabeled projection"),
+    "--all-pairs": dict(action="store_true", help="encode runs for every ordered pair of the vertex universe"),
+    "--output": dict(choices=["json", "text"], default="text"),
+}
+_GRAMMAR = ("--grammar", "--grammar-format")
+_RUN = ("--graph", *_GRAMMAR, "--max-steps", "--subsumption", "--output", "--threads")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="geograms", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_paths = sub.add_parser("paths", help="print grammar-constrained paths")
-    _add_common(p_paths)
-    p_paths.add_argument("--mode", choices=["all", "shortest"], default="all")
-    p_paths.add_argument("--encode-out", metavar="FILE", default=None)
-    p_paths.add_argument("--grammar-id", default="rwrx:grammar_0", metavar="RESOURCE")
-
-    p_metric = sub.add_parser("metric", help="compute one geodesic metric")
-    _add_common(p_metric)
-    p_metric.add_argument(
-        "--metric", required=True,
-        choices=[k.value for k in metrics.MetricKind],
-    )
-    p_metric.add_argument("--vertex", default=None, metavar="RESOURCE")
-    p_metric.add_argument(
-        "--vertices", action="append", default=None, metavar="RESOURCE",
-        help="vertex universe; repeatable; defaults to vertices typed like the entry",
-    )
-
-    p_encode = sub.add_parser("encode", help="write encoded walker paths")
-    _add_common(p_encode)
-    p_encode.add_argument("--out", required=True, metavar="FILE")
-    p_encode.add_argument("--grammar-id", default="rwrx:grammar_0", metavar="RESOURCE")
-    p_encode.add_argument(
-        "--all-pairs", action="store_true",
-        help="encode runs for every ordered pair of the vertex universe",
-    )
-    p_encode.add_argument("--vertices", action="append", default=None, metavar="RESOURCE")
-
-    p_oracle = sub.add_parser(
-        "oracle-check",
-        help="compare unconstrained-grammar distances to the projection BFS",
-    )
-    _add_common(p_oracle, with_grammar=False)
-    p_oracle.add_argument("--vertices", action="append", default=None, metavar="RESOURCE")
-
-    p_validate = sub.add_parser("validate-grammar", help="print grammar violations")
-    p_validate.add_argument("--grammar", required=True, metavar="FILE")
-    p_validate.add_argument(
-        "--grammar-format", choices=["dsl", "triples"], default=None
-    )
-    p_validate.add_argument("--output", choices=["json", "text"], default="text")
+    for name, func, summary, flags in (
+        ("paths", _cmd_paths, "print grammar-constrained paths", (*_RUN, "--mode", "--encode-out", "--grammar-id")),
+        ("metric", _cmd_metric, "compute one geodesic metric", (*_RUN, "--metric", "--vertex", "--vertices")),
+        ("encode", _cmd_encode, "write encoded walker paths",
+         (*_RUN, "--out", "--grammar-id", "--all-pairs", "--vertices")),
+        # the projection holds no schema triples, so --subsumption would change nothing
+        ("oracle-check", _cmd_oracle_check, "compare unconstrained-grammar distances to the projection BFS",
+         ("--graph", "--max-steps", "--output", "--threads", "--vertices")),
+        ("validate-grammar", _cmd_validate_grammar, "print grammar violations", (*_GRAMMAR, "--output")),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(func=func)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -159,15 +138,14 @@ def _load_graph(args) -> Graph:
     graph = None
     for path in args.graph:
         with open(path, encoding="utf-8") as handle:
-            loaded = load_ntriples(handle.read(), subsumption=args.subsumption)
+            loaded = load_ntriples(handle.read(), getattr(args, "subsumption", SubsumptionMode.CLOSURE))
         graph = loaded if graph is None else graph.merge(loaded)
     return graph
 
 
-def _load_grammar(path: str, fmt: str | None, validate: bool = True) -> Grammar:
-    if fmt is None:
-        fmt = "triples" if path.endswith(".nt") else "dsl"
-    with open(path, encoding="utf-8") as handle:
+def _load_grammar(args, validate: bool = True) -> Grammar:
+    fmt = args.grammar_format or ("triples" if args.grammar.endswith(".nt") else "dsl")
+    with open(args.grammar, encoding="utf-8") as handle:
         text = handle.read()
     if fmt == "triples":
         return load_grammar_from_triples(load_ntriples(text), validate=validate)
@@ -203,12 +181,15 @@ def _universe(args, graph: Graph, default) -> list:
     return sorted(default(), key=resource_key)
 
 
-def _emit(args, payload: dict, text_lines: list) -> None:
-    if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        for line in text_lines:
-            print(line)
+def _grammar_id(args, graph: Graph) -> Resource:
+    return _resolve_token(DEFAULT_GRAMMAR_ID if args.grammar_id is None else args.grammar_id, graph)
+
+
+def _timed(call):
+    """``call()``'s result and the whole milliseconds it took."""
+    started = time.perf_counter()
+    result = call()
+    return result, int(round((time.perf_counter() - started) * 1000))
 
 
 def _write_store(path: str, records: list, grammar_id: Resource) -> Graph:
@@ -219,33 +200,33 @@ def _write_store(path: str, records: list, grammar_id: Resource) -> Graph:
     return store
 
 
-# -- subcommands ----------------------------------------------------------------
+# -- subcommands: each returns (exit code, JSON payload, text lines) ---------------
 
 
-def _cmd_paths(args) -> int:
+def _cmd_paths(args) -> tuple:
+    if args.grammar_id is not None and not args.encode_out:
+        raise _UsageError("--grammar-id is read only with --encode-out")
     graph = _load_graph(args)
-    grammar = _load_grammar(args.grammar, args.grammar_format)
+    grammar = _load_grammar(args)
+    grammar_id = _grammar_id(args, graph) if args.encode_out else None
     mode = RunMode.ALL_PATHS if args.mode == "all" else RunMode.SHORTEST_ONLY
-    started = time.perf_counter()
-    records = run(graph, grammar, mode, args.max_steps)
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000))
+    records, elapsed_ms = _timed(lambda: run(graph, grammar, mode, args.max_steps))
     ordered = sorted(records, key=PathRecord.key)
     rendered = [r.to_text(graph.compact) for r in ordered]
     if args.encode_out:
-        _write_store(args.encode_out, ordered, _resolve_token(args.grammar_id, graph))
+        _write_store(args.encode_out, ordered, grammar_id)
     payload = {
         "count": len(ordered),
         "paths": rendered,
         "edge_lengths": [r.edge_length for r in ordered],
         "wall_time_ms": elapsed_ms,
     }
-    _emit(args, payload, rendered + [f"count: {len(ordered)}"])
-    return 0
+    return 0, payload, rendered + [f"count: {len(ordered)}"]
 
 
-def _cmd_metric(args) -> int:
+def _cmd_metric(args) -> tuple:
     graph = _load_graph(args)
-    grammar = _load_grammar(args.grammar, args.grammar_format)
+    grammar = _load_grammar(args)
     kind = metrics.MetricKind(args.metric)
     if kind in metrics.VERTEX_KINDS and not args.vertex:
         raise _UsageError(f"--metric {kind.value} requires --vertex")
@@ -258,12 +239,9 @@ def _cmd_metric(args) -> int:
     universe = ()
     if kind is not metrics.MetricKind.SHORTEST_PATH:
         universe = _universe(args, graph, lambda: metrics.default_universe(graph, grammar))
-
-    started = time.perf_counter()
-    paths = metrics.WalkerPaths(graph, grammar, args.max_steps)
-    result = metrics.fold(kind, paths, universe, vertex)
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000))
-
+    result, elapsed_ms = _timed(
+        lambda: metrics.fold(kind, metrics.WalkerPaths(graph, grammar, args.max_steps), universe, vertex)
+    )
     payload = {
         "kind": result.kind.value,
         "value": result.value,
@@ -276,14 +254,13 @@ def _cmd_metric(args) -> int:
     lines += [f"witness: {text}" for text in payload["witness_paths"]]
     if result.skipped_targets:
         lines.append(f"skipped targets: {result.skipped_targets}")
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> tuple:
     graph = _load_graph(args)
-    grammar = _load_grammar(args.grammar, args.grammar_format)
-    grammar_id = _resolve_token(args.grammar_id, graph)
+    grammar = _load_grammar(args)
+    grammar_id = _grammar_id(args, graph)
     if args.vertices and not args.all_pairs:
         raise _UsageError("--vertices is read only with --all-pairs")
 
@@ -301,11 +278,10 @@ def _cmd_encode(args) -> int:
     unique = sorted(set(records), key=PathRecord.key)
     store = _write_store(args.out, unique, grammar_id)
     payload = {"records": len(unique), "triples": len(store), "out": args.out}
-    _emit(args, payload, [f"encoded {len(unique)} paths as {len(store)} triples -> {args.out}"])
-    return 0
+    return 0, payload, [f"encoded {len(unique)} paths as {len(store)} triples -> {args.out}"]
 
 
-def _cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args) -> tuple:
     graph = _load_graph(args)
     projection = metrics.project_to_unlabeled(graph)
     universe = _universe(args, graph, projection.vertices)
@@ -337,12 +313,11 @@ def _cmd_oracle_check(args) -> int:
         f"  {m['source']} -> {m['target']}: grammar={m['grammar']} oracle={m['oracle']}"
         for m in mismatches
     ]
-    _emit(args, payload, lines)
-    return 3 if mismatches else 0
+    return 3 if mismatches else 0, payload, lines
 
 
-def _cmd_validate_grammar(args) -> int:
-    grammar = _load_grammar(args.grammar, args.grammar_format, validate=False)
+def _cmd_validate_grammar(args) -> tuple:
+    grammar = _load_grammar(args, validate=False)
     violations = validate_grammar(grammar)
     payload = {
         "violations": [
@@ -351,17 +326,7 @@ def _cmd_validate_grammar(args) -> int:
         ]
     }
     lines = [f"{v.severity} {v.context_id}: {v.message}" for v in violations] or ["ok"]
-    _emit(args, payload, lines)
-    return 2 if any(v.severity == "error" for v in violations) else 0
-
-
-_COMMANDS = {
-    "paths": _cmd_paths,
-    "metric": _cmd_metric,
-    "encode": _cmd_encode,
-    "oracle-check": _cmd_oracle_check,
-    "validate-grammar": _cmd_validate_grammar,
-}
+    return 2 if any(v.severity == "error" for v in violations) else 0, payload, lines
 
 
 def main(argv=None) -> int:
@@ -370,7 +335,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "max_steps" in args and args.max_steps is None:
             args.max_steps = _default_max_steps()
-        return _COMMANDS[args.command](args)
+        code, payload, lines = args.func(args)
+        print(json.dumps(payload, indent=2) if args.output == "json" else "\n".join(lines))
+        return code
     except (OSError, UnicodeDecodeError, GeogramsError) as exc:
         # an unreadable file is bad data; UnicodeDecodeError is also a
         # ValueError, so it is caught before the usage errors are

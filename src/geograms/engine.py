@@ -434,7 +434,7 @@ def expand(
     for walker in sorted(frontier, key=_walker_id):
         context = grammar.contexts[walker.context]
         recorded = walker.recorded
-        transitions: tuple = ()
+        transitions = None
         for rule in context.rules:
             if isinstance(rule, PathCount):
                 # only the successors see the recorded path, so the walker
@@ -443,11 +443,13 @@ def expand(
                 recorded += (walker.trail[position],)
             elif context.kind is ContextKind.EXIT:
                 raise GrammarRuntimeError("exit context must not traverse", context_id=walker.context)
+            elif transitions is not None:
+                raise GrammarRuntimeError("context carries more than one traverse rule", context_id=walker.context)
             else:
                 transitions = legal_edges(graph, grammar, walker, rule, collector=record)
         if context.kind is ContextKind.EXIT:
             finished.add(recorded)
-        if record is not None:
+        if record is not None and transitions:
             record.emitted.update(transitions)
         if not transitions:
             continue

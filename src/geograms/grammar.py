@@ -180,6 +180,11 @@ def validate_grammar(grammar: Grammar) -> list[Violation]:
             violations.append(
                 Violation("error", ctx.id, "exit context must not carry a traverse rule")
             )
+        # a record ends at the trail position the exit's last pathcount names,
+        # and a run keeps only the records that end at the sink
+        if ctx.kind is ContextKind.EXIT and [r.step for r in ctx.rules if isinstance(r, PathCount)][-1:] != [0]:
+            message = "exit context does not end with pathcount 0, so a record may not end at the sink"
+            violations.append(Violation("warning", ctx.id, message))
         if len(traverses) > 1:
             violations.append(
                 Violation("error", ctx.id, "context carries more than one traverse rule")

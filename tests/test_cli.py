@@ -556,17 +556,32 @@ def test_a_vertex_the_graph_lacks_is_a_data_error(capsys, monkeypatch, tmp_path,
         (["encode", "--vertices", "lanl:ghost"], "--vertices"),
         (["metric", "--metric", "radius", "--vertex", "lanl:ghost", "--vertices", "lanl:johan"], "--vertex"),
         (["metric", "--metric", "diameter", "--vertex", "lanl:johan", "--vertices", "lanl:johan"], "--vertex"),
+        (["paths", "--grammar-id", "nope:x"], "--grammar-id"),
+        # the projection holds no schema triples, so neither mode changes it
+        (["oracle-check", "--subsumption", "closure"], "--subsumption"),
     ],
     ids=["shortest-path-vertex", "shortest-path-vertices", "encode-without-all-pairs", "radius-vertex",
-         "diameter-vertex"],
+         "diameter-vertex", "paths-grammar-id-without-encode-out", "oracle-check-subsumption"],
 )
 def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, argv, flag):
     out_file = ["--out", str(tmp_path / "p.nt")] if argv[0] == "encode" else []
-    grammar = ["--grammar", str(FIXTURES / "researcher_path.pg")]
+    grammar = [] if argv[0] == "oracle-check" else ["--grammar", str(FIXTURES / "researcher_path.pg")]
     code, out, err = run_cli(capsys, argv[0], *graph_args(), *grammar, *out_file, *argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith("usage error:") and flag in err
     assert not (tmp_path / "p.nt").exists()
+
+
+def test_an_unresolvable_grammar_id_stops_paths_before_the_run(capsys, monkeypatch, tmp_path):
+    runs = []
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args) or real_run(*args, **kwargs))
+    code, out, err = run_cli(
+        capsys, "paths", *graph_args(), "--grammar", str(FIXTURES / "researcher_path.pg"),
+        "--encode-out", str(tmp_path / "p.nt"), "--grammar-id", "nope:x",
+    )
+    assert (code, out, err) == (1, "", "usage error: cannot resolve resource 'nope:x': unknown prefix\n")
+    assert runs == [] and not (tmp_path / "p.nt").exists()
 
 
 @pytest.fixture

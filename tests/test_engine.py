@@ -337,6 +337,20 @@ def test_an_unvalidated_exit_that_traverses_raises(social_graph):
     assert info.value.context_id == "b"
 
 
+@pytest.mark.parametrize("order", [("Human_1", "norman_4"), ("norman_4", "Human_1")], ids=["human-first", "norman-first"])
+def test_an_unvalidated_second_traverse_rule_raises(social_graph, order):
+    # the validator rejects such a context; run used to keep only the last
+    # rule's moves, so the result hung on the rules' order
+    entry_rule = "traverse out lanl:hasFriend -> Human_1, out lanl:hasFriend -> norman_4"
+    text = read_fixture("researcher_path.pg")
+    assert entry_rule in text
+    rules = "\n  ".join(f"traverse out lanl:hasFriend -> {far}" for far in order)
+    grammar = parse_grammar_dsl(text.replace(entry_rule, rules, 1), validate=False)
+    with pytest.raises(GrammarRuntimeError, match="context carries more than one traverse rule") as info:
+        run(social_graph, grammar)
+    assert info.value.context_id == "johan_0"
+
+
 # -- expand ---------------------------------------------------------------------
 
 

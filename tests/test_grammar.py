@@ -326,6 +326,24 @@ def test_misplaced_traverse_is_an_error(rules, message):
         parse_grammar_dsl(bad)
 
 
+@pytest.mark.parametrize(
+    "rules, warned",
+    [("pathcount 1", True), ("", True), ("pathcount 0\n  pathcount 1", True), ("pathcount 1\n  pathcount 0", False)],
+    ids=["pathcount-1", "no-pathcount", "pathcount-1-last", "pathcount-0-last"],
+)
+def test_an_exit_that_does_not_end_with_pathcount_0_warns(rules, warned):
+    # a record ends where the exit's last pathcount points, and a run keeps
+    # only records that end at the sink: pathcount 1 made every run empty
+    exit_context = "context norman_4 exit for lanl:norman {\n  pathcount 0\n}"
+    text = read_fixture("researcher_path.pg")
+    assert exit_context in text
+    grammar = parse_grammar_dsl(text.replace(exit_context, f"context norman_4 exit for lanl:norman {{\n  {rules}\n}}"))
+    message = "exit context does not end with pathcount 0, so a record may not end at the sink"
+    assert [(v.severity, v.context_id, v.message) for v in validate_grammar(grammar)] == [
+        ("warning", "norman_4", message)
+    ] * warned
+
+
 def test_loads_reject_invalid_but_warnings_pass():
     # a notever-free cycle loads fine (warning only); criterion 8 depends on it
     text = read_fixture("any_path.pg").replace("notever\n", "")
