@@ -339,8 +339,8 @@ def test_an_unvalidated_exit_that_traverses_raises(social_graph):
 
 @pytest.mark.parametrize("order", [("Human_1", "norman_4"), ("norman_4", "Human_1")], ids=["human-first", "norman-first"])
 def test_an_unvalidated_second_traverse_rule_raises(social_graph, order):
-    # the validator rejects such a context; run used to keep only the last
-    # rule's moves, so the result hung on the rules' order
+    # the validator rejects such a context; following only one of its rules
+    # would make the result hang on the rules' order
     entry_rule = "traverse out lanl:hasFriend -> Human_1, out lanl:hasFriend -> norman_4"
     text = read_fixture("researcher_path.pg")
     assert entry_rule in text

@@ -333,7 +333,7 @@ def test_misplaced_traverse_is_an_error(rules, message):
 )
 def test_an_exit_that_does_not_end_with_pathcount_0_warns(rules, warned):
     # a record ends where the exit's last pathcount points, and a run keeps
-    # only records that end at the sink: pathcount 1 made every run empty
+    # only records that end at the sink: with pathcount 1 every run is empty
     exit_context = "context norman_4 exit for lanl:norman {\n  pathcount 0\n}"
     text = read_fixture("researcher_path.pg")
     assert exit_context in text
