@@ -225,8 +225,6 @@ def _cmd_paths(args) -> tuple:
 
 
 def _cmd_metric(args) -> tuple:
-    graph = _load_graph(args)
-    grammar = _load_grammar(args)
     kind = metrics.MetricKind(args.metric)
     if kind in metrics.VERTEX_KINDS and not args.vertex:
         raise _UsageError(f"--metric {kind.value} requires --vertex")
@@ -235,6 +233,8 @@ def _cmd_metric(args) -> tuple:
         raise _UsageError(f"--metric shortest-path does not read {flag}; the grammar's entry and exit are the pair")
     if kind not in metrics.VERTEX_KINDS and args.vertex:
         raise _UsageError(f"--metric {kind.value} does not read --vertex; it ranges over the --vertices universe")
+    graph = _load_graph(args)
+    grammar = _load_grammar(args)
     vertex = _vertex(args.vertex, graph) if kind in metrics.VERTEX_KINDS else None
     universe = ()
     if kind is not metrics.MetricKind.SHORTEST_PATH:
@@ -258,11 +258,11 @@ def _cmd_metric(args) -> tuple:
 
 
 def _cmd_encode(args) -> tuple:
+    if args.vertices and not args.all_pairs:
+        raise _UsageError("--vertices is read only with --all-pairs")
     graph = _load_graph(args)
     grammar = _load_grammar(args)
     grammar_id = _grammar_id(args, graph)
-    if args.vertices and not args.all_pairs:
-        raise _UsageError("--vertices is read only with --all-pairs")
 
     records = []
     if args.all_pairs:
@@ -332,7 +332,10 @@ def _cmd_validate_grammar(args) -> tuple:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as done:  # --help prints and exits through argparse
+            return done.code
         if "max_steps" in args and args.max_steps is None:
             args.max_steps = _default_max_steps()
         code, payload, lines = args.func(args)

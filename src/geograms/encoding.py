@@ -79,6 +79,8 @@ def encode_paths(records: Iterable, grammar_id: Resource, walker_ids: Sequence[i
             f"need exactly one walker id per record ({len(ordered)} records, "
             f"{len(walker_ids)} ids)"
         )
+    # rdf:_1 ... rdf:_n for the longest record, built once per call
+    members = [membership(k) for k in range(1, max((len(r.steps) for r in ordered), default=0) + 1)]
     triples = []
     for record, wid in zip(ordered, walker_ids):
         walker_node = Iri(f"{RESULT_NS}walker_{wid}")
@@ -87,9 +89,9 @@ def encode_paths(records: Iterable, grammar_id: Resource, walker_ids: Sequence[i
         triples.append(Triple(walker_node, RWR_USES_GRAMMAR, grammar_id))
         triples.append(Triple(walker_node, RWR_HAS_QPATH, path_node))
         triples.append(Triple(path_node, RDF_TYPE, RWR_PATH))
-        for index, step in enumerate(record.steps, start=1):
+        for index, (step, member) in enumerate(zip(record.steps, members), start=1):
             segment = Iri(f"{RESULT_NS}segment_{wid}_{index}")
-            triples.append(Triple(path_node, membership(index), segment))
+            triples.append(Triple(path_node, member, segment))
             triples.append(Triple(segment, RDF_TYPE, RWR_SEGMENT))
             triples.append(Triple(segment, RWR_HAS_VERTEX, step.vertex))
             if step.predicate is not None:

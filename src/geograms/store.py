@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ParseError, ValidationError
@@ -48,15 +49,23 @@ class Iri:
 
     value: str
 
-    def __post_init__(self):
-        if not self.value:
+    def __init__(self, value: str):
+        if not value:
             raise ValidationError("IRI value must be non-empty")
+        _set_iri_value(self, value)
 
     def __hash__(self):
         return hash(self.value)
 
     def __repr__(self):
         return f"<{self.value}>"
+
+
+# A frozen dataclass's generated ``__init__`` sets each field through
+# ``object.__setattr__``; the hand-written ones below store through the slot
+# descriptors, which is cheaper per term and per triple, the unit of every
+# graph load and store write.
+_set_iri_value = Iri.__dict__["value"].__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,6 +99,7 @@ RDFS_SUBPROPERTYOF = Iri(RDFS_NS + "subPropertyOf")
 RDFS_RESOURCE = Iri(RDFS_NS + "Resource")
 
 _EMPTY: frozenset = frozenset()
+_first = itemgetter(0)
 # predicates whose triples feed the subsumption closures
 _SCHEMA_PREDICATES = frozenset(p.value for p in (RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF))
 
@@ -111,15 +121,23 @@ class Triple:
     # computed once: every index of a graph hashes each triple again
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if isinstance(self.subject, Literal):
+    def __init__(self, subject: Resource, predicate: Resource, object: Resource):
+        if isinstance(subject, Literal):
             raise ValidationError("a literal cannot be the subject of a triple")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise ValidationError("a triple predicate must be an IRI")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
+        _set_hash(self, hash((subject, predicate, object)))
 
     def __hash__(self):
         return self._hash
+
+
+_set_subject, _set_predicate, _set_object, _set_hash = (
+    Triple.__dict__[name].__set__ for name in ("subject", "predicate", "object", "_hash")
+)
 
 
 def membership(index: int) -> Iri:
@@ -209,13 +227,26 @@ class Graph:
         self.prefix_map = dict(prefix_map or {})
         self.subsumption = SubsumptionMode(subsumption)
 
+        # a list per key, opened by the key's first triple: the triples are
+        # distinct, and a list takes a triple without hashing it
         by_subject: dict = {}
         by_object: dict = {}
         for t in self._triples:
-            by_subject.setdefault(t.subject, set()).add(t)
-            by_object.setdefault(t.object, set()).add(t)
-        self._by_subject = {k: frozenset(v) for k, v in by_subject.items()}
-        self._by_object = {k: frozenset(v) for k, v in by_object.items()}
+            bucket = by_subject.get(t.subject)
+            if bucket is None:
+                by_subject[t.subject] = [t]
+            else:
+                bucket.append(t)
+            bucket = by_object.get(t.object)
+            if bucket is None:
+                by_object[t.object] = [t]
+            else:
+                bucket.append(t)
+        for index in (by_subject, by_object):
+            for key, bucket in index.items():
+                index[key] = frozenset(bucket)
+        self._by_subject = by_subject
+        self._by_object = by_object
         # sets built from dicts reuse the hashes the dicts stored
         vertices = set(by_subject)
         vertices.update(by_object)
@@ -333,10 +364,19 @@ class Graph:
             f"@prefix {name}: <{ns}> ."
             for name, ns in sorted(self.prefix_map.items())
         ]
-        for t in sorted(self._triples, key=triple_key):
-            lines.append(
-                f"{_term_text(t.subject)} {_term_text(t.predicate)} {_term_text(t.object)} ."
-            )
+        # each distinct term's resource_key and text, computed once per call
+        # (a piece is a non-empty tuple, never falsy); a line sorts on its
+        # terms' keys laid end to end, which is the order of triple_key
+        pieces: dict = {}
+        rows = []
+        for t in self._triples:
+            s, p, o = t.subject, t.predicate, t.object
+            ks, ts = pieces.get(s) or pieces.setdefault(s, (resource_key(s), _term_text(s)))
+            kp, tp = pieces.get(p) or pieces.setdefault(p, (resource_key(p), _term_text(p)))
+            ko, to = pieces.get(o) or pieces.setdefault(o, (resource_key(o), _term_text(o)))
+            rows.append((ks + kp + ko, f"{ts} {tp} {to} ."))
+        rows.sort(key=_first)
+        lines.extend(line for _, line in rows)
         return "\n".join(lines) + ("\n" if lines else "")
 
     def compact(self, resource: Resource) -> str:
@@ -392,6 +432,15 @@ _TOKEN = re.compile(
     rf"[ \t]*(?:(?P<iri>{_IRI})|(?P<blank>{_BLANK})|(?P<literal>{_LITERAL})(?P<typed>\^\^)?"
     rf"|(?P<dot>\.)|(?P<word>{_WORD}))"
 )
+# The common statement line, read by one match: three terms apart from
+# each other, the object an IRI, blank node, word or plain literal with no
+# escape, then '.'.  The lookahead ends a word only at a space or tab, so the
+# match cannot cut ``ex:c.`` into a word and the final '.'.  Any other line
+# (glued terms, typed or escaped literals, every malformed line) goes to
+# ``_tokenized_statement``; where this pattern matches, the tokens it reads
+# are exactly the ones ``_token`` reads.
+_TERM = rf"{_IRI}|{_BLANK}|{_WORD}(?![^ \t])"
+_STATEMENT = re.compile(rf'({_TERM})[ \t]+({_TERM})[ \t]+({_TERM}|"[^"\\]*")[ \t]*\.')
 _SPACE = re.compile(r"[ \t]*")
 _ESCAPE = re.compile(r"\\(.)")
 _LITERAL_PREFIX = re.compile(_LITERAL_BODY)
@@ -498,6 +547,53 @@ def prefix_declaration(line: str, line_no: int) -> tuple:
     return name[:-1], namespace
 
 
+def _matched_term(statement: re.Match, group: int, prefix_map: dict, terms: dict, line_no: int) -> Resource:
+    """The term of token ``group`` of a ``_STATEMENT`` match, stored in ``terms``.
+
+    The four kinds of token start with different characters, and a matched
+    literal holds no escape and no datatype, so the token's first characters
+    say what ``_token`` would read.
+    """
+    token = statement.group(group)
+    if token[0] == "<":
+        kind, value = "iri", token[1:-1]
+    elif token[0] == '"':
+        kind, value = "literal", (token[1:-1], None)
+    elif token.startswith("_:"):
+        kind, value = "blank", token[2:]
+    else:
+        kind, value = "word", token
+    term = terms[token] = _term(kind, value, prefix_map, line_no, statement.end(group))
+    return term
+
+
+def _tokenized_statement(line: str, line_no: int, prefix_map: dict, terms: dict) -> list:
+    """The three terms of a statement line, read token by token; the only reader of malformed lines.
+
+    Each term is made as soon as its token is read, so the first fault
+    from the left is the one raised.  ``terms`` maps token text to term.
+    """
+    parsed = []
+    pos = 0
+    for position in ("subject", "predicate", "object"):
+        kind, value, end = _token(line, pos, line_no)
+        if kind == "dot":
+            raise ParseError(f"unexpected '.' while reading {position}", line=line_no, column=end + 1)
+        token = line[pos:end].lstrip(" \t")
+        term = terms.get(token)
+        if term is None:
+            term = terms[token] = _term(kind, value, prefix_map, line_no, end)
+        parsed.append(term)
+        pos = end
+    kind, _, end = _token(line, pos, line_no)
+    if kind != "dot":
+        raise ParseError("statement must end with '.'", line=line_no, column=end + 1)
+    rest = _SPACE.match(line, end).end()
+    if rest < len(line):
+        raise ParseError("unexpected text after '.'", line=line_no, column=rest + 1)
+    return parsed
+
+
 def load_ntriples(
     text: str,
     subsumption: SubsumptionMode | str = SubsumptionMode.CLOSURE,
@@ -511,8 +607,12 @@ def load_ntriples(
     angle brackets are expanded too, so ``<lanl:johan>`` works after a
     ``@prefix lanl:`` declaration.
 
-    A term's text is parsed once: later occurrences reuse the same term
-    object until the next ``@prefix`` line, which may redeclare a prefix.
+    A statement line of three terms apart, whose object is no typed or
+    escaped literal, is read by one match of ``_STATEMENT``; every other
+    line by ``_tokenized_statement``.  Both accept the same lines, give the
+    same terms and raise the same errors.  A term's text is parsed once:
+    later occurrences reuse the same term object until the next ``@prefix``
+    line, which may redeclare a prefix.
     """
     prefix_map: dict = {}
     terms: dict = {}  # token text -> term
@@ -527,26 +627,16 @@ def load_ntriples(
             terms.clear()
             continue
 
-        parsed = []
-        pos = 0
-        for position in ("subject", "predicate", "object"):
-            kind, value, end = _token(line, pos, line_no)
-            if kind == "dot":
-                raise ParseError(f"unexpected '.' while reading {position}", line=line_no, column=end + 1)
-            token = line[pos:end].lstrip(" \t")
-            term = terms.get(token)
-            if term is None:
-                term = terms[token] = _term(kind, value, prefix_map, line_no, end)
-            parsed.append(term)
-            pos = end
-        kind, _, end = _token(line, pos, line_no)
-        if kind != "dot":
-            raise ParseError("statement must end with '.'", line=line_no, column=end + 1)
-        rest = _SPACE.match(line, end).end()
-        if rest < len(line):
-            raise ParseError("unexpected text after '.'", line=line_no, column=rest + 1)
+        statement = _STATEMENT.fullmatch(line)
+        if statement is None:
+            subject, predicate, obj = _tokenized_statement(line, line_no, prefix_map, terms)
+        else:
+            # a term is never falsy, so ``or`` reads a token only on its first occurrence
+            s, p, o = statement.groups()
+            subject = terms.get(s) or _matched_term(statement, 1, prefix_map, terms, line_no)
+            predicate = terms.get(p) or _matched_term(statement, 2, prefix_map, terms, line_no)
+            obj = terms.get(o) or _matched_term(statement, 3, prefix_map, terms, line_no)
 
-        subject, predicate, obj = parsed
         if isinstance(subject, Literal):
             raise ValidationError("literal in subject position", line=line_no)
         if not isinstance(predicate, Iri):

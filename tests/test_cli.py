@@ -572,6 +572,35 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, tmp_path, arg
     assert not (tmp_path / "p.nt").exists()
 
 
+# a check that reads only the flags runs before any file is opened
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "--grammar", str(FIXTURES / "any_path.pg"), "--metric", "shortest-path", "--vertex", "lanl:johan"],
+        ["encode", "--grammar", str(FIXTURES / "researcher_path.pg"), "--vertices", "lanl:johan"],
+    ],
+    ids=["metric", "encode"],
+)
+def test_flag_checks_come_before_the_file_reads(capsys, monkeypatch, tmp_path, argv):
+    loads = []
+    real_load = cli.load_ntriples
+    monkeypatch.setattr(cli, "load_ntriples", lambda *args: loads.append(args) or real_load(*args))
+    out_file = ["--out", str(tmp_path / "p.nt")] if argv[0] == "encode" else []
+    for graph in (tmp_path / "missing.nt", FIXTURES / "social.nt"):
+        code, out, err = run_cli(capsys, argv[0], "--graph", str(graph), *out_file, *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:")
+    assert loads == []
+    assert not (tmp_path / "p.nt").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["paths", "--help"], ["metric", "-h"]])
+def test_help_returns_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: geograms")
+
+
 def test_an_unresolvable_grammar_id_stops_paths_before_the_run(capsys, monkeypatch, tmp_path):
     runs = []
     real_run = cli.run

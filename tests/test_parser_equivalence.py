@@ -5,11 +5,17 @@ the triples it yields, or the error it raises, pinned by class, line,
 column and message.  The table covers the corners of the tokenizer
 (glued terms, words ending in '.', blank labels, escapes, datatypes,
 prefix declarations) so that a change of tokenizer keeps every accepted
-line's terms and every rejected line's error.
+line's terms and every rejected line's error.  A differential test then
+mutates the table's documents and checks that the one-match reading of
+statement lines changes nothing against the tokenizer alone.
 """
+
+import random
+import re
 
 import pytest
 
+from geograms import store
 from geograms.errors import ParseError, ValidationError
 from geograms.store import Blank, Iri, Literal, Triple, load_ntriples
 
@@ -86,6 +92,20 @@ CASES = [
     ('literal_with_raw_tab', '<s> <p> "a\tb" .', [(I('s'), I('p'), L('a\tb'))]),
     ('nbsp_between_terms', '<s>\xa0<p> <o> .', (ParseError, 1, 8, "unknown prefix '\\xa0<p>' in '\\xa0<p>' (line 1, column 8)")),
     ('second_line_error', '<s> <p> <o> .\n<s> <p> <o>', (ParseError, 2, 12, 'unexpected end of line (line 2, column 12)')),
+    ('blank_label_then_dot', '_:a-b.c <p> <o> .', (ParseError, 1, 7, "unexpected '.' while reading predicate (line 1, column 7)")),
+    ('plain_literal_object', '@prefix ex: <http://e.org/> .\nex:a ex:b "v" .', [(I('http://e.org/a'), I('http://e.org/b'), L('v'))]),
+    ('empty_literal_object', '<s> <p> "" .', [(I('s'), I('p'), L(''))]),
+    ('literal_holding_brackets', '<s> <p> "<o> _:b" .', [(I('s'), I('p'), L('<o> _:b'))]),
+    ('literal_glued_to_predicate', '<s> <p>"x" .', [(I('s'), I('p'), L('x'))]),
+    ('word_object_dot_then_dot', '@prefix ex: <http://e.org/> .\nex:a ex:b ex:c. .', [(I('http://e.org/a'), I('http://e.org/b'), I('http://e.org/c.'))]),
+    ('tab_before_dot', '@prefix ex: <http://e.org/> .\nex:a\tex:b\tex:c\t.', [(I('http://e.org/a'), I('http://e.org/b'), I('http://e.org/c'))]),
+    ('iri_with_space', '<a b> <p> <o> .', [(I('a b'), I('p'), I('o'))]),
+    ('unknown_prefix_in_predicate', '<s> zz:p <o> .', (ParseError, 1, 9, "unknown prefix 'zz' in 'zz:p' (line 1, column 9)")),
+    ('unknown_prefix_in_object', '<s> <p> zz:o .', (ParseError, 1, 13, "unknown prefix 'zz' in 'zz:o' (line 1, column 13)")),
+    ('empty_iri_object', '<s> <p> <> .', (ParseError, 1, 11, 'empty name (line 1, column 11)')),
+    ('two_faults_first_wins', 'zz:a <p> <o', (ParseError, 1, 5, "unknown prefix 'zz' in 'zz:a' (line 1, column 5)")),
+    ('blank_object_then_text', '<s> <p> _:o.x', (ParseError, 1, 13, "unexpected text after '.' (line 1, column 13)")),
+    ('literal_then_two_dots', '<s> <p> "x" . .', (ParseError, 1, 15, "unexpected text after '.' (line 1, column 15)")),
 ]
 
 
@@ -101,3 +121,47 @@ def test_parser_equivalence(text, expected):
     error = info.value
     assert type(error) is error_class
     assert (error.line, getattr(error, "column", None), str(error)) == (line, column, message)
+
+
+def _outcome(text):
+    """What ``load_ntriples`` makes of ``text``: (triples, prefix map), or (error class, message)."""
+    try:
+        graph = load_ntriples(text)
+    except (ParseError, ValidationError) as error:
+        return type(error), str(error)
+    return graph.triples, graph.prefix_map
+
+
+# characters that start, end or separate terms, and a few plain ones
+_MUTATION_CHARS = '<>"\\._: \t^#@-ax\n\xa0é'
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(text))
+        choice = rng.random()
+        if choice < 0.4:
+            text = text[:pos] + rng.choice(_MUTATION_CHARS) + text[pos:]
+        elif choice < 0.7:
+            text = text[:pos] + text[pos + 1:]
+        elif choice < 0.9:
+            text = text[:pos] + rng.choice(_MUTATION_CHARS) + text[pos + 1:]
+        else:  # a statement of another document
+            text += "\n" + rng.choice(CASES)[1].splitlines()[-1]
+    return text
+
+
+def test_statement_match_agrees_with_the_tokenizer(monkeypatch):
+    rng = random.Random(31)
+    documents = [_mutate(rng, rng.choice(CASES)[1]) for _ in range(4000)]
+    matched = sum(
+        any(store._STATEMENT.fullmatch(line.strip()) for line in text.splitlines()) for text in documents
+    )
+    read = [_outcome(text) for text in documents]
+    monkeypatch.setattr(store, "_STATEMENT", re.compile(r"(?!)"))
+    tokenized = [_outcome(text) for text in documents]
+
+    differ = [text for text, a, b in zip(documents, read, tokenized) if a != b]
+    assert differ == []
+    # both readers saw a good share of the documents
+    assert 1000 < matched < 3000

@@ -9,12 +9,15 @@ from geograms.store import (
     RDF_NS,
     RDF_TYPE,
     RDFS_RESOURCE,
+    XSD_NS,
     Blank,
     Graph,
     Iri,
     Literal,
     SubsumptionMode,
     Triple,
+    _term_text,
+    triple_key,
 )
 
 from conftest import lanl
@@ -364,6 +367,41 @@ def test_round_trip_preserves_literals_and_blanks():
     )
     assert load_ntriples(graph.to_ntriples()).triples == graph.triples
     assert repr(Blank("n1")) == "_:n1"
+
+
+def test_to_ntriples_writes_prefixes_then_triples_in_triple_key_order():
+    e = "http://e.org/"
+    graph = Graph(
+        [
+            Triple(Iri(e + "b"), Iri(e + "p"), Blank("z")),
+            Triple(Blank("a1"), Iri(e + "p"), Literal("x")),
+            Triple(Iri(e + "a"), Iri(e + "p"), Literal("5", XSD_NS + "int")),
+            Triple(Iri(e + "a"), Iri(e + "p"), Literal("5")),
+            Triple(Iri(e + "a"), Iri(e + "p"), Literal("10")),
+            Triple(Iri(e + "a"), Iri(e + "p"), Iri(e + "b")),
+            Triple(Iri(e + "a"), Iri(e + "q"), Blank("b")),
+            Triple(Iri(e + "a"), RDF_TYPE, Iri(e + "T")),
+            Triple(Iri(e + "a"), Iri(e + "p"), Literal('say "hi"\n\tbye\\')),
+            Triple(Blank("a1"), Iri(e + "p"), Iri("http://a.org/x")),
+            Triple(Blank("a"), Iri(e + "p"), Literal("x", "http://a.org/dt")),
+        ],
+        {"ex": e, "a": "http://a.org/"},
+    )
+    reference = [f"@prefix {name}: <{ns}> ." for name, ns in sorted(graph.prefix_map.items())]
+    reference += [
+        f"{_term_text(t.subject)} {_term_text(t.predicate)} {_term_text(t.object)} ."
+        for t in sorted(graph.triples, key=triple_key)
+    ]
+    assert graph.to_ntriples() == "\n".join(reference) + "\n"
+    assert graph.to_ntriples().splitlines()[:6] == [
+        "@prefix a: <http://a.org/> .",
+        "@prefix ex: <http://e.org/> .",
+        "<http://e.org/a> <http://e.org/p> <http://e.org/b> .",
+        '<http://e.org/a> <http://e.org/p> "10" .',
+        '<http://e.org/a> <http://e.org/p> "5"^^<http://www.w3.org/2001/XMLSchema#int> .',
+        '<http://e.org/a> <http://e.org/p> "5" .',
+    ]
+    assert Graph().to_ntriples() == ""
 
 
 def test_merge_unions_triples(social_graph):
