@@ -416,6 +416,39 @@ def test_expand_emits_exit_walkers_to_finished(social_graph, researcher_grammar)
     assert {r.edge_length for r in finished} == {2}
 
 
+SELF_LOOP_DSL = """
+@prefix lanl: <http://www.lanl.gov#>
+context start entry for lanl:johan {
+  pathcount 0
+  traverse out lanl:knows -> ahead, in lanl:knows -> back
+}
+context back for lanl:johan {
+  pathcount 0
+  traverse out lanl:knows -> ahead
+}
+context ahead exit for lanl:johan {
+  pathcount 0
+}
+"""
+
+
+def test_a_self_loop_traversed_both_ways_gives_one_successor_per_direction():
+    # johan knows johan is two moves from johan, one along the triple and one
+    # against it; the random graphs of the golden traces never hold such a triple
+    loop = Triple(lanl("johan"), lanl("knows"), lanl("johan"))
+    graph = Graph([loop])
+    grammar = parse_grammar_dsl(SELF_LOOP_DSL)
+    walker = Walker(0, "start", (step("johan"),))
+    found = legal_edges(graph, grammar, walker, grammar.contexts["start"].traverse_rule)
+    assert [(t.triple, t.direction, t.next_context) for t in found] == [(loop, FWD, "ahead"), (loop, BWD, "back")]
+
+    (frontier, finished), next_id = expand(graph, grammar, [walker], next_id=1)
+    assert finished == frozenset() and next_id == 3
+    assert [(w.id, w.context, w.vertex) for w in frontier] == [(1, "ahead", lanl("johan")), (2, "back", lanl("johan"))]
+    assert [w.trail[-1] for w in frontier] == [step("johan", "knows", FWD), step("johan", "knows", BWD)]
+    assert all(w.trail[:-1] == walker.trail for w in frontier)
+
+
 # -- run ----------------------------------------------------------------------------
 
 
