@@ -16,9 +16,12 @@ first run over a graph derives its ``GraphIndex`` (``Graph.derived``),
 which numbers its vertices and is shared by every later run.  A vertex's
 moves, read from the graph's own subject and object indexes and put in
 ``triple_key`` order, are built when a walker first stands on it, so a run
-pays only for the part of the graph it explores.  A walker the engine
-builds keeps its trail's vertex ids, so each check per candidate edge is a
-dict or set lookup on a vertex id or on the edge's predicate IRI text.
+pays only for the part of the graph it explores; each move carries its
+triple and the ``PathStep`` it appends, and one table per vertex finds a
+transition's move by its triple.  A walker the engine builds keeps its
+trail's vertex ids, so each check per candidate edge is a dict or set
+lookup on a vertex id or on the edge's predicate IRI text, and
+``_admission`` alone ranks how tightly a context admits a vertex.
 ``Triple``s, ``Transition``s and ``PathRecord``s are built only for what a
 step returns, what a run returns, and what a trace records: a ``RunTrace``
 holds one ``GenerationTrace`` per generation and reads its totals from them.
@@ -81,13 +84,6 @@ class PathRecord:
     """A returned path: the steps a walker chose to record."""
 
     steps: tuple[PathStep, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.steps))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def edge_length(self) -> int:
@@ -148,8 +144,7 @@ class RunMode(Enum):
     ALL_PATHS = "all"
 
 
-# a move is 2 * rank + d, where rank is the triple's place in its vertex's
-# triple_key order: d = 0 follows the triple, d = 1 opposes it
+# a direction by the low bit of a move: 0 follows the triple, 1 opposes it
 _DIRECTIONS = (Direction.FORWARD, Direction.BACKWARD)
 
 
@@ -164,19 +159,21 @@ class GraphIndex:
     promises comes from ``triple_key`` instead.
 
     ``moves[v]``, built on the first visit to vertex id ``v``, is a tuple
-    ``(triples, rank, out, into, by_move)``.  ``triples`` lists the triples
-    leaving or entering the vertex in ``triple_key`` order, and ``rank``
-    maps each to its place there.  ``out`` holds a tuple ``(move, far vertex
-    id, predicate IRI text, the PathStep the move appends)`` for every move
-    along a triple leaving the vertex, ``into`` one for every move against a
-    triple entering it, both in move order, and ``by_move`` holds each at
-    index ``move``.  Id -1 names a vertex the graph does not have, which has
-    no moves.
+    ``(out, into, by_triple)``.  A move is a tuple ``(move, far vertex id,
+    predicate IRI text, the PathStep the move appends, triple)``; ``move``
+    is ``2 * rank + d``, where rank is the triple's place among the
+    vertex's triples in ``triple_key`` order and d is 0 along the triple, 1
+    against it, so moves sort in (triple, direction) order, forward first.
+    ``out`` holds the moves along the triples leaving the vertex, ``into``
+    those against the triples entering it, both in move order, and
+    ``by_triple`` maps each triple to its (forward move or None, backward
+    move or None); a self-loop has both.  Id -1 names a vertex the graph
+    does not have, which has no moves.
 
     The index also keeps, per wanted predicate, which predicate IRIs it
-    admits, and per wanted resource, the specificity with which it admits
-    each vertex id; both are computed through ``Graph.is_subproperty_or_equal``
-    and ``Graph.has_type_or_equal``, so every subsumption mode stays exact.
+    admits, and per wanted resource, the rank ``_admission`` gives each
+    vertex id; both go through ``Graph.is_subproperty_or_equal`` and
+    ``Graph.has_type_or_equal``, so every subsumption mode stays exact.
     Every table fills on demand and is shared by every grammar run on the
     graph.  Filling the same entry twice gives equal values, so threads
     may share one index.
@@ -189,34 +186,31 @@ class GraphIndex:
         self.vertices = list(graph.vertices())
         self.vertex_id = {v: i for i, v in enumerate(self.vertices)}
         self.moves = _Memo(self._visit)
-        self.moves[-1] = ([], {}, [], [], [])
-        below, typed, vertices = graph.is_subproperty_or_equal, graph.has_type_or_equal, self.vertices
+        self.moves[-1] = ([], [], {})
+        below, vertices = graph.is_subproperty_or_equal, self.vertices
         # wanted predicate -> (IRI text -> whether that predicate is the wanted one or below it);
         # keyed by the text, whose hash is cached, rather than by the Iri
         self._admissible = _Memo(lambda wanted: _Memo(lambda name: below(Iri(name), wanted)))
-        # wanted resource -> (vertex id -> the vertex's specificity for it, None where not admitted)
-        self._admitted = _Memo(lambda wanted: _Memo(
-            lambda vid: _specificity(vertices[vid], wanted) if typed(vertices[vid], wanted) else None
-        ))
+        # wanted resource -> (vertex id -> the vertex's admission rank for it)
+        self._admitted = _Memo(lambda wanted: _Memo(lambda vid: _admission(graph, vertices[vid], wanted)))
         self._rules = (None, {})
 
     def _visit(self, vid: int) -> tuple:
         """The moves from vertex id ``vid``; ``moves`` calls this on the vertex's first visit."""
-        vertex, graph = self.vertices[vid], self.graph
-        triples = sorted(graph.outgoing(vertex) | graph.incoming(vertex), key=triple_key)
-        out, into, by_move = [], [], [None] * (2 * len(triples))
-        vertex_id = self.vertex_id
-        for rank, t in enumerate(triples):
-            name = t.predicate.value
+        vertex, graph, vertex_id = self.vertices[vid], self.graph, self.vertex_id
+        out, into, by_triple = [], [], {}
+        for rank, t in enumerate(sorted(graph.outgoing(vertex) | graph.incoming(vertex), key=triple_key)):
+            forward = backward = None
             if t.subject == vertex:
                 step = PathStep(t.object, t.predicate, Direction.FORWARD)
-                by_move[2 * rank] = move = (2 * rank, vertex_id[t.object], name, step)
-                out.append(move)
+                forward = (2 * rank, vertex_id[t.object], t.predicate.value, step, t)
+                out.append(forward)
             if t.object == vertex:
                 step = PathStep(t.subject, t.predicate, Direction.BACKWARD)
-                by_move[2 * rank + 1] = move = (2 * rank + 1, vertex_id[t.subject], name, step)
-                into.append(move)
-        return triples, {t: rank for rank, t in enumerate(triples)}, out, into, by_move
+                backward = (2 * rank + 1, vertex_id[t.subject], t.predicate.value, step, t)
+                into.append(backward)
+            by_triple[t] = (forward, backward)
+        return out, into, by_triple
 
     def vertex_ids(self, walker: Walker) -> tuple:
         """The ids of ``walker``'s trail vertices, -1 for one the graph does not have."""
@@ -306,13 +300,17 @@ class Rejection(NamedTuple):
     walker_id: int
 
 
-def _specificity(destination: Resource, wanted: Resource) -> int:
-    """How tightly a context binding matches: equality, then type, then wildcard."""
-    if destination == wanted:
+def _admission(graph: Graph, vertex: Resource, wanted: Resource) -> int | None:
+    """How tightly a context bound to ``wanted`` admits ``vertex``; lower is tighter.
+
+    0 for the bound vertex itself, 1 for a vertex typed by it, 2 for any
+    vertex under the ``rdfs:Resource`` wildcard, None where not admitted.
+    """
+    if vertex == wanted:
         return 0
     if wanted == RDFS_RESOURCE:
         return 2
-    return 1
+    return 1 if graph.has_type_or_equal(vertex, wanted) else None
 
 
 def legal_edges(
@@ -339,8 +337,8 @@ def legal_edges(
     """
     index = index_of(graph)
     vids = index.vertex_ids(walker)
-    triples, _, out, into, _ = index.moves[vids[-1]]
-    best: dict = {}  # move -> (specificity rank, far context), the first spec at the best rank
+    out, into, _ = index.moves[vids[-1]]
+    best: dict = {}  # move -> (admission rank, far context, triple), the first spec at the best rank
     visited = None  # the vertex ids of the trail, built for the first notever spec
     for spec in index.resolve(grammar, rule):
         backward, admissible, admitted, is_steps, not_steps, notever, far_context = spec
@@ -352,7 +350,7 @@ def legal_edges(
         candidates = into if backward else out
         if collector is not None:
             collector.raw_candidates += len(candidates)
-        for move, far, name, _ in candidates:
+        for move, far, name, _, triple in candidates:
             if admissible is not None and not admissible[name]:
                 reason = "predicate"
             elif (rank := admitted[far]) is None:
@@ -365,14 +363,12 @@ def legal_edges(
                 reason = "notever"
             else:
                 if move not in best or rank < best[move][0]:
-                    best[move] = (rank, far_context)
+                    best[move] = (rank, far_context, triple)
                 continue
             if collector is not None:
-                collector.rejections.append(
-                    Rejection(triples[move >> 1], _DIRECTIONS[backward], far_context, reason, walker.id)
-                )
+                collector.rejections.append(Rejection(triple, _DIRECTIONS[backward], far_context, reason, walker.id))
     return tuple(
-        [Transition(triples[move >> 1], _DIRECTIONS[move & 1], best[move][1]) for move in sorted(best)]
+        [Transition(triple, _DIRECTIONS[move & 1], context) for move, (_, context, triple) in sorted(best.items())]
     )
 
 
@@ -454,9 +450,9 @@ def expand(
         if not transitions:
             continue
         trail, vids = walker.trail, index.vertex_ids(walker)
-        _, rank, _, _, by_move = index.moves[vids[-1]]
+        by_triple = index.moves[vids[-1]][2]
         for triple, direction, next_context in transitions:
-            _, far, _, step = by_move[2 * rank[triple] + (direction is Direction.BACKWARD)]
+            _, far, _, step, _ = by_triple[triple][direction is Direction.BACKWARD]
             successor = Walker(next_id, next_context, trail + (step,), recorded)
             _set(successor, "_bound", (index, vids + (far,)))
             successors.append(successor)
