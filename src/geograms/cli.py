@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -43,6 +44,7 @@ from .store import (
     Iri,
     Resource,
     SubsumptionMode,
+    _BLANK,
     expand_name,
     load_ntriples,
     resource_key,
@@ -154,8 +156,11 @@ def _load_grammar(args, validate: bool = True) -> Grammar:
 
 def _resolve_token(token: str, graph: Graph) -> Resource:
     # expand_name reads the name, a prefix the graph declares winning over a
-    # built-in one; _:id names a blank node, and a bare name with :// is kept
+    # built-in one; _:id names a blank node, written as the graph files write
+    # one, and a bare name with :// is kept
     if token.startswith("_:"):
+        if not re.fullmatch(_BLANK, token):
+            raise _UsageError(f"cannot resolve resource {token!r}: malformed blank node")
         return Blank(token[2:])
     bracketed = token.startswith("<") and token.endswith(">")
     name = token[1:-1] if bracketed else token
@@ -195,8 +200,9 @@ def _timed(call):
 def _write_store(path: str, records: list, grammar_id: Resource) -> Graph:
     """Encode ``records`` under walker ids 0, 1, ... and write the store to ``path``."""
     store = encoding.encode_paths(records, grammar_id, list(range(len(records))))
+    text = store.to_ntriples()  # before the file opens, so a refused store leaves no file
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(store.to_ntriples())
+        handle.write(text)
     return store
 
 

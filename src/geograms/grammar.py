@@ -27,6 +27,7 @@ from .store import (
     expand_name,
     prefix_declaration,
     resource_key,
+    split_lines,
 )
 
 # Vocabulary for the triple encoding of grammars.  The namespace is a
@@ -314,7 +315,7 @@ def parse_grammar_dsl(text: str, validate: bool = True) -> Grammar:
     One pass reads the numbered lines, so an error names the line being
     read; a context still open at the end names the line after the last.
     """
-    lines = text.splitlines()
+    lines = split_lines(text)
     prefix_map: dict = {}
     contexts = []
     open_ctx = None  # (id, kind, resource) of the context whose body is being read

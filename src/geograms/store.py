@@ -405,13 +405,30 @@ def _escape(text: str) -> str:
 
 
 def _term_text(resource: Resource) -> str:
+    """The term as ``to_ntriples`` writes it; ``ValidationError`` for a term that would not read back.
+
+    The reader has no IRI escape, so it cannot read back an IRI, datatype
+    included, that is empty or holds '>' or a line end, nor a blank label
+    outside ``[\\w-]+``.
+    """
     if isinstance(resource, Iri):
-        return f"<{resource.value}>"
+        return f"<{_iri_text(resource.value, resource)}>"
     if isinstance(resource, Blank):
+        if not _BLANK_LABEL.fullmatch(resource.local_id):
+            raise ValidationError(f"cannot write term {repr(resource)!r}: a blank label reads back only as [\\w-]+")
         return f"_:{resource.local_id}"
     if resource.datatype == XSD_STRING:
         return f'"{_escape(resource.lexical)}"'
-    return f'"{_escape(resource.lexical)}"^^<{resource.datatype}>'
+    return f'"{_escape(resource.lexical)}"^^<{_iri_text(resource.datatype, resource)}>'
+
+
+def _iri_text(value: str, term: Resource) -> str:
+    """``value``, the text of an IRI of ``term``, unless no reader gives it back."""
+    if not value or ">" in value or "\n" in value or "\r" in value:
+        raise ValidationError(
+            f"cannot write term {repr(term)!r}: an IRI that is empty or holds '>' or a line end does not read back"
+        )
+    return value
 
 
 # -- parsing -----------------------------------------------------------------
@@ -420,7 +437,8 @@ def _term_text(resource: Resource) -> str:
 # The four kinds of term token.  A word is everything up to the next space
 # or tab, dots included.
 _IRI = r"<[^>]*>"
-_BLANK = r"_:[\w-]+"
+_BLANK_LABEL = re.compile(r"[\w-]+")
+_BLANK = rf"_:{_BLANK_LABEL.pattern}"
 _LITERAL_BODY = r'(?:[^"\\]|\\[\\"nrt])*'
 _LITERAL = rf'"{_LITERAL_BODY}"'
 _WORD = r'(?!_:)[^ \t<".][^ \t]*'
@@ -594,6 +612,21 @@ def _tokenized_statement(line: str, line_no: int, prefix_map: dict, terms: dict)
     return parsed
 
 
+def split_lines(text: str) -> list:
+    """The lines of ``text``, as ``str.splitlines`` gives them but ended only by LF, CRLF or CR.
+
+    The other characters ``splitlines`` breaks at (``\x0b``, ``\x0c``,
+    ``\x1c``-``\x1e``, ``\x85``, ``\u2028``, ``\u2029``) may stand raw in a
+    literal, which ``to_ntriples`` writes as it is.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:  # a final line end opens no line, and empty text has none
+        lines.pop()
+    return lines
+
+
 def load_ntriples(
     text: str,
     subsumption: SubsumptionMode | str = SubsumptionMode.CLOSURE,
@@ -617,7 +650,7 @@ def load_ntriples(
     prefix_map: dict = {}
     terms: dict = {}  # token text -> term
     triples = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(split_lines(text), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

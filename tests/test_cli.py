@@ -134,9 +134,13 @@ JOHAN = lanl("johan")
         ("<_:b>", Iri("_:b"), {"nt", "dsl"}),
         ("<>", "cannot resolve resource '<>': empty name", set()),
         ("nope:x", "cannot resolve resource 'nope:x': unknown prefix", set()),
+        ("_:", "cannot resolve resource '_:': malformed blank node", set()),
+        ("_:a.b", "cannot resolve resource '_:a.b': malformed blank node", set()),
+        ("_:x y", "cannot resolve resource '_:x y': malformed blank node", set()),
     ],
     ids=["prefixed", "bracketed-prefixed", "bracketed", "bare-iri", "builtin-rdfs",
-         "builtin-rwrx", "blank", "bracketed-blank", "empty", "unknown-prefix"],
+         "builtin-rwrx", "blank", "bracketed-blank", "empty", "unknown-prefix",
+         "blank-empty-label", "blank-dotted-label", "blank-spaced-label"],
 )
 def test_every_written_name_form_resolves_as_in_the_files(capsys, written, expected, readers):
     if isinstance(expected, str):
@@ -214,6 +218,23 @@ def test_encode_command(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["records"] == 2
     assert len(load_ntriples(out_file.read_text())) == payload["triples"]
+
+
+def test_encode_refuses_a_store_that_would_not_read_back_and_writes_no_file(capsys, tmp_path):
+    # ``lanl:a<b>`` loads as an IRI holding '>', which no written form reads back
+    graph = tmp_path / "glued.nt"
+    graph.write_text(
+        "@prefix lanl: <http://www.lanl.gov#> .\n"
+        "lanl:johan lanl:knows lanl:a<b> .\nlanl:a<b> lanl:knows lanl:norman .\n"
+    )
+    out_file = tmp_path / "store.nt"
+    code, out, err = run_cli(
+        capsys,
+        "encode", "--graph", str(graph), "--grammar", str(FIXTURES / "any_path.pg"), "--out", str(out_file),
+    )
+    assert (code, out) == (2, "")
+    assert "cannot write term '<http://www.lanl.gov#a<b>>'" in err
+    assert not out_file.exists()
 
 
 def test_encode_all_pairs_store_answers_every_metric_as_the_walker(capsys, tmp_path):

@@ -137,6 +137,22 @@ def test_dsl_errors(old, new, error, message, line):
         assert info.value.line == line
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_dsl_lines_end_at_lf_crlf_and_cr(end):
+    # the missing brace is named on the line after the last, as with LF
+    text = MINIMAL.replace("  pathcount 0\n}\n", "  pathcount 0\n").replace("\n", end)
+    with pytest.raises(ParseError, match="context 'b' is missing its closing brace") as info:
+        parse_grammar_dsl(text)
+    assert info.value.line == 9
+    assert parse_grammar_dsl(MINIMAL.replace("\n", end)) == parse_grammar_dsl(MINIMAL)
+
+
+@pytest.mark.parametrize("char", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", ids=lambda c: f"U+{ord(c):04X}")
+def test_a_dsl_comment_holding_a_unicode_line_break_stays_one_line(char):
+    text = MINIMAL.replace("  traverse", f"  # note{char}traverse ex:q\n  traverse")
+    assert parse_grammar_dsl(text) == parse_grammar_dsl(MINIMAL)
+
+
 def test_any_whitespace_separates_a_word_and_its_argument(researcher_grammar):
     text = read_fixture("researcher_path.pg")
     for word in ("pathcount", "is", "traverse"):

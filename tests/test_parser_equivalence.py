@@ -165,3 +165,25 @@ def test_statement_match_agrees_with_the_tokenizer(monkeypatch):
     assert differ == []
     # both readers saw a good share of the documents
     assert 1000 < matched < 3000
+
+
+def test_every_loaded_document_writes_text_that_reads_back_or_is_refused():
+    # the reader has no IRI escape: a loaded IRI holding '>' (say from
+    # ``ex:a<ex:b>``) would be written as text that no longer loads
+    rng = random.Random(31)
+    documents = [c[1] for c in CASES] + [_mutate(rng, rng.choice(CASES)[1]) for _ in range(4000)]
+    refused = 0
+    for text in documents:
+        try:
+            graph = load_ntriples(text)
+        except (ParseError, ValidationError):
+            continue
+        try:
+            written = graph.to_ntriples()
+        except ValidationError as error:
+            assert "holds '>'" in str(error), text
+            refused += 1
+            continue
+        again = load_ntriples(written)
+        assert (again.triples, again.prefix_map) == (graph.triples, graph.prefix_map), text
+    assert refused > 0

@@ -404,6 +404,59 @@ def test_to_ntriples_writes_prefixes_then_triples_in_triple_key_order():
     assert Graph().to_ntriples() == ""
 
 
+# every character str.splitlines breaks a line at besides LF and CR; a
+# literal may hold each one raw, and to_ntriples writes it raw
+OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_literal_holding_a_unicode_line_break_reads_from_a_file_and_round_trips(tmp_path, char):
+    path = tmp_path / "graph.nt"
+    path.write_text(f'@prefix ex: <http://e.org/> .\nex:a ex:p "x{char}y" .\nex:a ex:p ex:b .\n', encoding="utf-8")
+    with open(path, encoding="utf-8") as handle:
+        graph = load_ntriples(handle.read())
+    e = "http://e.org/"
+    assert graph.triples == {
+        Triple(Iri(e + "a"), Iri(e + "p"), Literal(f"x{char}y")),
+        Triple(Iri(e + "a"), Iri(e + "p"), Iri(e + "b")),
+    }
+    written = Graph([Triple(Blank("n"), Iri(e + "p"), Literal(f"{char}x{char}", e + "dt"))]).to_ntriples()
+    assert char in written
+    assert load_ntriples(written).triples == {Triple(Blank("n"), Iri(e + "p"), Literal(f"{char}x{char}", e + "dt"))}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_lf_crlf_and_cr_each_end_a_line(end):
+    with pytest.raises(ParseError) as info:
+        load_ntriples(f"<s> <p> <o> .{end}<s> <p> <o2>")
+    assert (info.value.line, info.value.column) == (2, 13)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        Iri("http://e.org/a<ex:b>"),
+        Iri("http://e.org/a>"),
+        Iri("http://e.org/a\nb"),
+        Iri("http://e.org/a\rb"),
+        Literal("5", "http://e.org/int>"),
+        Literal("5", "http://e.org/in\nt"),
+        Literal("5", ""),
+        Blank(""),
+        Blank("a.b"),
+        Blank("x y"),
+        Blank("a:b"),
+    ],
+    ids=["glued-iri", "closing-bracket", "lf", "cr", "datatype-bracket", "datatype-lf", "datatype-empty",
+         "blank-empty", "blank-dot", "blank-space", "blank-colon"],
+)
+def test_to_ntriples_refuses_a_term_that_would_not_read_back(term):
+    e = "http://e.org/"
+    triple = Triple(Iri(e + "s"), Iri(e + "p"), term) if isinstance(term, Literal) else Triple(term, Iri(e + "p"), term)
+    with pytest.raises(ValidationError, match=re.escape(repr(repr(term)))):
+        Graph([triple, Triple(Iri(e + "s"), Iri(e + "p"), Iri(e + "o"))]).to_ntriples()
+
+
 def test_merge_unions_triples(social_graph):
     extra = Graph([Triple(lanl("norman"), lanl("hasFriend"), lanl("marko"))])
     merged = social_graph.merge(extra)
