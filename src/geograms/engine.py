@@ -513,7 +513,8 @@ def run(
     results: set = set()
     for _ in range(max_steps):
         (frontier, finished), next_id = expand(graph, grammar, frontier, next_id=next_id, trace=trace)
-        found = frozenset(r for r in finished if r.steps and (r.steps[0].vertex, r.steps[-1].vertex) == ends)
+        # a difference keeps the hashes the kept records were stored with
+        found = finished - {r for r in finished if not r.steps or (r.steps[0].vertex, r.steps[-1].vertex) != ends}
         if found and mode is RunMode.SHORTEST_ONLY:
             return found
         results.update(found)
