@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 
@@ -34,6 +33,7 @@ from .grammar import (
     validate_grammar,
 )
 from .store import (
+    BLANK_NODE,
     RDF_NS,
     RDFS_NS,
     RDFS_RESOURCE,
@@ -44,7 +44,6 @@ from .store import (
     Iri,
     Resource,
     SubsumptionMode,
-    _BLANK,
     expand_name,
     load_ntriples,
     resource_key,
@@ -159,7 +158,7 @@ def _resolve_token(token: str, graph: Graph) -> Resource:
     # built-in one; _:id names a blank node, written as the graph files write
     # one, and a bare name with :// is kept
     if token.startswith("_:"):
-        if not re.fullmatch(_BLANK, token):
+        if not BLANK_NODE.fullmatch(token):
             raise _UsageError(f"cannot resolve resource {token!r}: malformed blank node")
         return Blank(token[2:])
     bracketed = token.startswith("<") and token.endswith(">")

@@ -98,6 +98,9 @@ RDFS_SUBPROPERTYOF = Iri(RDFS_NS + "subPropertyOf")
 # label as a predicate, which is what makes unconstrained grammars possible.
 RDFS_RESOURCE = Iri(RDFS_NS + "Resource")
 
+# a blank node as graph text writes it, the one form the readers take
+BLANK_NODE = re.compile(r"_:[\w-]+")
+
 _EMPTY: frozenset = frozenset()
 _first = itemgetter(0)
 # predicates whose triples feed the subsumption closures
@@ -414,9 +417,10 @@ def _term_text(resource: Resource) -> str:
     if isinstance(resource, Iri):
         return f"<{_iri_text(resource.value, resource)}>"
     if isinstance(resource, Blank):
-        if not _BLANK_LABEL.fullmatch(resource.local_id):
-            raise ValidationError(f"cannot write term {repr(resource)!r}: a blank label reads back only as [\\w-]+")
-        return f"_:{resource.local_id}"
+        text = f"_:{resource.local_id}"
+        if not BLANK_NODE.fullmatch(text):
+            raise ValidationError(f"cannot write term {text!r}: a blank label reads back only as [\\w-]+")
+        return text
     if resource.datatype == XSD_STRING:
         return f'"{_escape(resource.lexical)}"'
     return f'"{_escape(resource.lexical)}"^^<{_iri_text(resource.datatype, resource)}>'
@@ -437,8 +441,7 @@ def _iri_text(value: str, term: Resource) -> str:
 # The four kinds of term token.  A word is everything up to the next space
 # or tab, dots included.
 _IRI = r"<[^>]*>"
-_BLANK_LABEL = re.compile(r"[\w-]+")
-_BLANK = rf"_:{_BLANK_LABEL.pattern}"
+_BLANK = BLANK_NODE.pattern
 _LITERAL_BODY = r'(?:[^"\\]|\\[\\"nrt])*'
 _LITERAL = rf'"{_LITERAL_BODY}"'
 _WORD = r'(?!_:)[^ \t<".][^ \t]*'
