@@ -618,8 +618,8 @@ def _tokenized_statement(line: str, line_no: int, prefix_map: dict, terms: dict)
 def split_lines(text: str) -> list:
     """The lines of ``text``, as ``str.splitlines`` gives them but ended only by LF, CRLF or CR.
 
-    The other characters ``splitlines`` breaks at (``\x0b``, ``\x0c``,
-    ``\x1c``-``\x1e``, ``\x85``, ``\u2028``, ``\u2029``) may stand raw in a
+    The other characters ``splitlines`` breaks at (``\\x0b``, ``\\x0c``,
+    ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``) may stand raw in a
     literal, which ``to_ntriples`` writes as it is.
     """
     if "\r" in text:
