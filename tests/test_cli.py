@@ -654,3 +654,23 @@ def test_a_negative_pathcount_step_is_a_grammar_error_before_any_run(capsys, neg
     code, out, err = run_cli(capsys, "paths", *graph_args(), "--grammar", str(negative_pathcount_grammar))
     assert (code, out) == (2, "")
     assert err == "error: invalid grammar: Human_3: pathcount step must be >= 0, got -1\n"
+
+
+def test_mode_and_subsumption_choices_and_defaults():
+    # read from the parser, not from --help, whose wording differs between
+    # Python versions
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    read = {
+        name: {a.option_strings[0]: (list(a.choices), a.default)
+               for a in command._actions if a.option_strings[:1] in (["--mode"], ["--subsumption"])}
+        for name, command in commands.items()
+    }
+    subsumption = {"--subsumption": (["closure", "single-hop"], "closure")}
+    assert read == {
+        "paths": {**subsumption, "--mode": (["all", "shortest"], "all")},
+        "metric": subsumption,
+        "encode": subsumption,
+        "oracle-check": {},
+        "validate-grammar": {},
+    }

@@ -145,6 +145,13 @@ def test_decode_rejects_malformed_segments(two_path_store, drop, add, message):
         decode_paths(Graph(triples))
 
 
+def test_a_typed_direction_literal_decodes_by_its_lexical_form(two_path_store):
+    segment = Iri(RESULT_NS + "segment_0_2")
+    triples = {tr for tr in two_path_store.triples if (tr.subject, tr.predicate) != (segment, RWR_HAS_DIRECTION)}
+    triples.add(Triple(segment, RWR_HAS_DIRECTION, Literal("+", "urn:x")))
+    assert decode_paths(Graph(triples)) == {SHORT_RECORD, LONG_RECORD}
+
+
 def test_store_reads_reject_membership_gaps():
     # the last segment of a two-edge path moved from rdf:_3 to rdf:_5
     store = encode_paths([SHORT_RECORD], GRAMMAR_ID, [0])

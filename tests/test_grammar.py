@@ -406,6 +406,38 @@ def test_dsl_serializer_honors_prefixes(researcher_grammar):
     assert parse_grammar_dsl(text) == researcher_grammar
 
 
+def test_dsl_writer_spells_every_word_of_the_vocabulary():
+    # every context kind, edge direction, rule and attribute, read from
+    # scrambled attribute order and written back in the writer's order
+    text = (
+        "@prefix ex: <http://example.org/>\n"
+        "context a entry for ex:start {\n  pathcount 0\n  traverse out ex:p -> m, in ex:q -> b\n}\n"
+        "context m for ex:Mid {\n  not 2\n  is 3\n  notever\n  is 1\n  pathcount 1\n"
+        "  traverse in ex:q -> m, out ex:p -> b\n}\n"
+        "context b exit for <http://other.org/end> {\n  pathcount 0\n}\n"
+    )
+    written = serialize_grammar_dsl(parse_grammar_dsl(text), {"ex": "http://example.org/", "o": "http://other.org/"})
+    assert written == (
+        "@prefix ex: <http://example.org/>\n"
+        "@prefix o: <http://other.org/>\n"
+        "context a entry for ex:start {\n"
+        "  pathcount 0\n"
+        "  traverse out ex:p -> m, in ex:q -> b\n"
+        "}\n"
+        "context m for ex:Mid {\n"
+        "  notever\n"
+        "  is 1\n"
+        "  is 3\n"
+        "  not 2\n"
+        "  pathcount 1\n"
+        "  traverse in ex:q -> m, out ex:p -> b\n"
+        "}\n"
+        "context b exit for o:end {\n"
+        "  pathcount 0\n"
+        "}\n"
+    )
+
+
 def test_dsl_round_trip_writes_unreadable_local_names_as_iris():
     # '#' starts a comment, ',' separates edges and braces frame a context,
     # so only a local name of word characters, '.' and '-' is written prefixed
@@ -586,9 +618,14 @@ def test_a_triple_encoded_step_is_an_xsd_integer_of_ascii_digits(step):
             "psi:notever_1 rdf:type rwr:NotEver .", "",
             "attribute <http://www.lanl.gov/psi#notever_1> of Human_1 has no recognized type",
         ),
+        (
+            'psi:is_3 rwr:step "2"^^xsd:int', 'psi:is_3 rwr:step "two"',
+            "is attribute of Human_3: step 'two' is not an integer",
+        ),
     ],
     ids=["no-contexts", "step-not-literal", "step-not-integer", "edge-untyped", "edge-predicate-literal",
-         "edge-to-undeclared-context", "traverse-without-edges", "rule-untyped", "attribute-untyped"],
+         "edge-to-undeclared-context", "traverse-without-edges", "rule-untyped", "attribute-untyped",
+         "is-step-not-integer"],
 )
 def test_grammar_graph_load_errors(old, new, message):
     text = read_fixture("researcher_path_grammar.nt")
