@@ -93,10 +93,10 @@ _FLAGS = {
     "--grammar-format": dict(choices=["dsl", "triples"],
                              help="defaults by extension: .nt loads as triples, anything else as DSL"),
     "--max-steps": dict(type=_positive_int, metavar="N"),
-    "--subsumption": dict(choices=["closure", "single-hop"], default="closure"),
+    "--subsumption": dict(choices=sorted(m.value for m in SubsumptionMode), default=SubsumptionMode.CLOSURE.value),
     "--threads": dict(type=_positive_int, default=1, metavar="N",
                       help="accepted for compatibility; runs are single-threaded"),
-    "--mode": dict(choices=["all", "shortest"], default="all"),
+    "--mode": dict(choices=sorted(m.value for m in RunMode), default=RunMode.ALL_PATHS.value),
     "--encode-out": dict(metavar="FILE"),
     "--out": dict(required=True, metavar="FILE"),
     "--grammar-id": dict(metavar="RESOURCE", help=f"grammar the encoded paths name; default {DEFAULT_GRAMMAR_ID}"),
@@ -214,8 +214,7 @@ def _cmd_paths(args) -> tuple:
     graph = _load_graph(args)
     grammar = _load_grammar(args)
     grammar_id = _grammar_id(args, graph) if args.encode_out else None
-    mode = RunMode.ALL_PATHS if args.mode == "all" else RunMode.SHORTEST_ONLY
-    records, elapsed_ms = _timed(lambda: run(graph, grammar, mode, args.max_steps))
+    records, elapsed_ms = _timed(lambda: run(graph, grammar, RunMode(args.mode), args.max_steps))
     ordered = sorted(records, key=PathRecord.key)
     rendered = [r.to_text(graph.compact) for r in ordered]
     if args.encode_out:

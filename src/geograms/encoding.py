@@ -61,8 +61,8 @@ RWR_SEGMENT = Iri(RWR_NS + "Segment")
 RWR_HAS_VERTEX = Iri(RWR_NS + "hasVertex")
 RWR_HAS_DIRECTION = Iri(RWR_NS + "hasDirection")
 
-_DIRECTION_LITERALS = {Direction.FORWARD: Literal("+"), Direction.BACKWARD: Literal("-")}
-_LITERAL_DIRECTIONS = {"+": Direction.FORWARD, "-": Direction.BACKWARD}
+# a direction is stored as a literal whose lexical form is the direction's value
+_LITERAL_DIRECTIONS = {direction.value: direction for direction in Direction}
 _NO_PATHS: dict = {}
 
 
@@ -97,7 +97,7 @@ def encode_paths(records: Iterable, grammar_id: Resource, walker_ids: Sequence[i
             if step.predicate is not None:
                 triples.append(Triple(segment, RWR_HAS_PREDICATE, step.predicate))
                 triples.append(
-                    Triple(segment, RWR_HAS_DIRECTION, _DIRECTION_LITERALS[step.direction])
+                    Triple(segment, RWR_HAS_DIRECTION, Literal(step.direction.value))
                 )
     prefixes = {"rwr": RWR_NS, "rwrx": RESULT_NS, "rdf": RDF_NS}
     return Graph(triples, prefixes)

@@ -109,6 +109,11 @@ class Not:
 
 Attribute = NotEver | Is | Not
 
+# the DSL word of each attribute and of the stepped rule, attributes in the
+# order the DSL writer lists them; the validator and the triple loader name
+# them by it too
+_WORDS = {NotEver: "notever", Is: "is", Not: "not", PathCount: "pathcount"}
+
 
 @dataclass(frozen=True, slots=True)
 class GrammarContext:
@@ -211,7 +216,7 @@ def validate_grammar(grammar: Grammar) -> list[Violation]:
         for item, least in stepped:
             if item.step < least:
                 violations.append(
-                    Violation("error", ctx.id, f"{type(item).__name__.lower()} step must be >= {least}, got {item.step}")
+                    Violation("error", ctx.id, f"{_WORDS[type(item)]} step must be >= {least}, got {item.step}")
                 )
 
     violations.extend(_termination_hazards(grammar))
@@ -296,7 +301,9 @@ def _strip_comment(line: str) -> str:
 _HEADER = re.compile(r"context\s+(\S+)\s+(?:(entry|exit)\s+)?for\s+(\S+)\s*\{\s*$")
 _EDGE = re.compile(r"\s*(out|in)\s+(\S+)\s*->\s*(\S+)\s*$")
 _NATURAL = re.compile(r"[0-9]+$")
-_KINDS = {"entry": ContextKind.ENTRY, "exit": ContextKind.EXIT, None: ContextKind.INTERMEDIATE}
+_CLASSES = {word: cls for cls, word in _WORDS.items()}
+_DIRECTIONS = {"out": Direction.FORWARD, "in": Direction.BACKWARD}
+_DIRECTION_WORDS = {direction: word for word, direction in _DIRECTIONS.items()}
 
 
 def _dsl_iri(token: str, prefix_map: dict, line_no: int) -> Iri:
@@ -335,39 +342,40 @@ def parse_grammar_dsl(text: str, validate: bool = True) -> Grammar:
                 raise ParseError(
                     "malformed context header (expected 'context ID [entry|exit] for RESOURCE {')", line=line_no
                 )
-            ctx_id, kind_word, resource_tok = header.groups()
+            ctx_id, kind, resource_tok = header.groups()
             if not _IDENT.match(ctx_id):
                 raise ParseError(f"invalid context id {ctx_id!r}", line=line_no)
-            open_ctx = (ctx_id, _KINDS[kind_word], _dsl_iri(resource_tok, prefix_map, line_no))
+            # a header names its kind by the kind's value, an intermediate context by none
+            open_ctx = (ctx_id, ContextKind(kind or ContextKind.INTERMEDIATE), _dsl_iri(resource_tok, prefix_map, line_no))
             rules: list[Rule] = []
             attributes: set = set()
             continue
         word = line.split(maxsplit=1)[0]
         rest = line[len(word):].strip()
+        cls = _CLASSES.get(word)
         if line == "}":
             contexts.append(GrammarContext(*open_ctx, tuple(rules), frozenset(attributes)))
             open_ctx = None
-        elif word == "notever":
-            if rest:
-                raise ParseError("notever takes no argument", line=line_no)
-            attributes.add(NotEver())
         elif word == "traverse":
             edges = []
             for part in rest.split(","):
                 edge = _EDGE.match(part)
                 if not edge:
                     raise ParseError(f"malformed traverse edge {part.strip()!r}", line=line_no)
-                direction = Direction.FORWARD if edge.group(1) == "out" else Direction.BACKWARD
-                edges.append(EdgeSpec(direction, _dsl_iri(edge.group(2), prefix_map, line_no), edge.group(3)))
+                edges.append(EdgeSpec(_DIRECTIONS[edge[1]], _dsl_iri(edge[2], prefix_map, line_no), edge[3]))
             rules.append(Traverse(tuple(edges)))
-        elif word not in ("pathcount", "is", "not"):
+        elif cls is None:
             raise ParseError(f"unknown rule or attribute {word!r}", line=line_no)
+        elif cls is NotEver:
+            if rest:
+                raise ParseError("notever takes no argument", line=line_no)
+            attributes.add(NotEver())
         elif not _NATURAL.match(rest):
             raise ParseError(f"expected a natural number, got {rest!r}", line=line_no)
-        elif word == "pathcount":
+        elif cls is PathCount:
             rules.append(PathCount(int(rest)))
         else:
-            attributes.add((Is if word == "is" else Not)(int(rest)))
+            attributes.add(cls(int(rest)))
     if open_ctx is not None:
         raise ParseError(f"context {open_ctx[0]!r} is missing its closing brace", line=len(lines) + 1)
     return _assemble(contexts, validate=validate)
@@ -393,23 +401,18 @@ def serialize_grammar_dsl(grammar: Grammar, prefix_map: dict | None = None) -> s
     order.append(grammar.exit)
     for cid in order:
         ctx = grammar.contexts[cid]
-        kind = {ContextKind.ENTRY: "entry ", ContextKind.EXIT: "exit ", ContextKind.INTERMEDIATE: ""}[ctx.kind]
+        kind = "" if ctx.kind is ContextKind.INTERMEDIATE else f"{ctx.kind.value} "
         lines.append(f"context {ctx.id} {kind}for {res(ctx.for_resource)} {{")
-        for attr in sorted(ctx.attributes, key=_attribute_key):
-            if isinstance(attr, NotEver):
-                lines.append("  notever")
-            elif isinstance(attr, Is):
-                lines.append(f"  is {attr.step}")
-            else:
-                lines.append(f"  not {attr.step}")
+        # by the table's order of kinds, then by step
+        for attr in sorted(ctx.attributes, key=lambda a: (list(_WORDS).index(type(a)), getattr(a, "step", 0))):
+            word = _WORDS[type(attr)]
+            lines.append(f"  {word}" if isinstance(attr, NotEver) else f"  {word} {attr.step}")
         for rule in ctx.rules:
             if isinstance(rule, PathCount):
-                lines.append(f"  pathcount {rule.step}")
+                lines.append(f"  {_WORDS[PathCount]} {rule.step}")
             else:
                 edges = ", ".join(
-                    f"{'out' if e.direction is Direction.FORWARD else 'in'} "
-                    f"{res(e.predicate)} -> {e.far_context}"
-                    for e in rule.edges
+                    f"{_DIRECTION_WORDS[e.direction]} {res(e.predicate)} -> {e.far_context}" for e in rule.edges
                 )
                 lines.append(f"  traverse {edges}")
         lines.append("}")
@@ -423,14 +426,6 @@ def serialize_grammar_dsl(grammar: Grammar, prefix_map: dict | None = None) -> s
     if not same:
         raise GrammarLoadError("cannot write the grammar as DSL text, which would read back as another grammar")
     return text
-
-
-def _attribute_key(attr: Attribute) -> tuple:
-    if isinstance(attr, NotEver):
-        return (0, 0)
-    if isinstance(attr, Is):
-        return (1, attr.step)
-    return (2, attr.step)
 
 
 # -- triple encoding ----------------------------------------------------------
@@ -520,7 +515,7 @@ def load_grammar_from_triples(graph: Graph, validate: bool = True) -> Grammar:
 def _load_rule(graph: Graph, node: Resource, node_ids: dict, ctx_id: str) -> Rule:
     types = {t.object for t in graph.match((node, RDF_TYPE, None))}
     if RWR_PATH_COUNT in types:
-        return PathCount(_step_of(graph, node, f"pathcount rule of {ctx_id}"))
+        return PathCount(_step_of(graph, node, f"{_WORDS[PathCount]} rule of {ctx_id}"))
     if RWR_TRAVERSE in types:
         edges = []
         for t in sorted(graph.match((node, RWR_HAS_EDGE, None)), key=lambda t: resource_key(t.object)):
@@ -552,9 +547,9 @@ def _load_attribute(graph: Graph, node: Resource, ctx_id: str) -> Attribute:
     if RWR_NOT_EVER in types:
         return NotEver()
     if RWR_IS in types:
-        return Is(_step_of(graph, node, f"is attribute of {ctx_id}"))
+        return Is(_step_of(graph, node, f"{_WORDS[Is]} attribute of {ctx_id}"))
     if RWR_NOT in types:
-        return Not(_step_of(graph, node, f"not attribute of {ctx_id}"))
+        return Not(_step_of(graph, node, f"{_WORDS[Not]} attribute of {ctx_id}"))
     raise GrammarLoadError(f"attribute {node!r} of {ctx_id} has no recognized type")
 
 
