@@ -40,7 +40,8 @@ RESULT_NS = "http://www.lanl.gov/rwrx#"
 
 XSD_STRING = XSD_NS + "string"
 
-_MEMBERSHIP = re.compile(re.escape(RDF_NS) + r"_(\d+)$")
+# k in ASCII digits only, as counts and steps are read
+_MEMBERSHIP = re.compile(re.escape(RDF_NS) + r"_([0-9]+)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +151,7 @@ def membership(index: int) -> Iri:
 
 def membership_index(predicate: Iri) -> int | None:
     """The k of an ``rdf:_k`` container membership property, else None."""
-    m = _MEMBERSHIP.match(predicate.value)
+    m = _MEMBERSHIP.fullmatch(predicate.value)
     return int(m.group(1)) if m else None
 
 
@@ -362,11 +363,13 @@ class Graph:
         return Graph(self._triples | other._triples, prefixes, self.subsumption)
 
     def to_ntriples(self) -> str:
-        """Serialize back to the line format accepted by ``load_ntriples``."""
-        lines = [
-            f"@prefix {name}: <{ns}> ."
-            for name, ns in sorted(self.prefix_map.items())
-        ]
+        """Serialize back to the line format accepted by ``load_ntriples``.
+
+        Raises ``ValidationError`` for a prefix map entry or a term whose
+        written text would not read back as it.
+        """
+        prefix_map = self.prefix_map
+        lines = [_prefix_line(name, ns) for name, ns in sorted(prefix_map.items())]
         # each distinct term's resource_key and text, computed once per call
         # (a piece is a non-empty tuple, never falsy); a line sorts on its
         # terms' keys laid end to end, which is the order of triple_key
@@ -374,9 +377,9 @@ class Graph:
         rows = []
         for t in self._triples:
             s, p, o = t.subject, t.predicate, t.object
-            ks, ts = pieces.get(s) or pieces.setdefault(s, (resource_key(s), _term_text(s)))
-            kp, tp = pieces.get(p) or pieces.setdefault(p, (resource_key(p), _term_text(p)))
-            ko, to = pieces.get(o) or pieces.setdefault(o, (resource_key(o), _term_text(o)))
+            ks, ts = pieces.get(s) or pieces.setdefault(s, (resource_key(s), _term_text(s, prefix_map)))
+            kp, tp = pieces.get(p) or pieces.setdefault(p, (resource_key(p), _term_text(p, prefix_map)))
+            ko, to = pieces.get(o) or pieces.setdefault(o, (resource_key(o), _term_text(o, prefix_map)))
             rows.append((ks + kp + ko, f"{ts} {tp} {to} ."))
         rows.sort(key=_first)
         lines.extend(line for _, line in rows)
@@ -407,15 +410,29 @@ def _escape(text: str) -> str:
     return "".join(_ESCAPES.get(c, c) for c in text)
 
 
-def _term_text(resource: Resource) -> str:
-    """The term as ``to_ntriples`` writes it; ``ValidationError`` for a term that would not read back.
+def _prefix_line(name: str, namespace: str) -> str:
+    """The ``@prefix`` line of a prefix map entry; ``ValidationError`` unless it reads back as the entry."""
+    line = f"@prefix {name}: <{namespace}> ."
+    try:
+        same = "\n" not in line and "\r" not in line and prefix_declaration(line, 1) == (name, namespace)
+    except ParseError:
+        same = False
+    if not same:
+        raise ValidationError(f"cannot write prefix {name!r} for {namespace!r}: its @prefix line does not read back")
+    return line
 
-    The reader has no IRI escape, so it cannot read back an IRI, datatype
-    included, that is empty or holds '>' or a line end, nor a blank label
-    outside ``[\\w-]+``.
+
+def _term_text(resource: Resource, prefix_map: Optional[Mapping[str, str]] = None) -> str:
+    """The term as ``to_ntriples`` writes it after the prefixes of ``prefix_map``.
+
+    ``ValidationError`` for a term that would not read back.  The reader
+    has no IRI escape, so it cannot read back an IRI, datatype included,
+    that is empty or holds '>' or a line end, or that starts with a name
+    ``prefix_map`` declares, which it expands even inside brackets; nor a
+    blank label outside ``[\\w-]+``.
     """
     if isinstance(resource, Iri):
-        return f"<{_iri_text(resource.value, resource)}>"
+        return f"<{_iri_text(resource.value, resource, prefix_map)}>"
     if isinstance(resource, Blank):
         text = f"_:{resource.local_id}"
         if not BLANK_NODE.fullmatch(text):
@@ -423,15 +440,18 @@ def _term_text(resource: Resource) -> str:
         return text
     if resource.datatype == XSD_STRING:
         return f'"{_escape(resource.lexical)}"'
-    return f'"{_escape(resource.lexical)}"^^<{_iri_text(resource.datatype, resource)}>'
+    return f'"{_escape(resource.lexical)}"^^<{_iri_text(resource.datatype, resource, prefix_map)}>'
 
 
-def _iri_text(value: str, term: Resource) -> str:
+def _iri_text(value: str, term: Resource, prefix_map: Optional[Mapping[str, str]]) -> str:
     """``value``, the text of an IRI of ``term``, unless no reader gives it back."""
     if not value or ">" in value or "\n" in value or "\r" in value:
         raise ValidationError(
             f"cannot write term {repr(term)!r}: an IRI that is empty or holds '>' or a line end does not read back"
         )
+    expanded = expand_name(value, prefix_map, True) if prefix_map else value
+    if expanded != value:
+        raise ValidationError(f"cannot write term {repr(term)!r}: a declared prefix reads it back as <{expanded}>")
     return value
 
 

@@ -237,6 +237,23 @@ def test_encode_refuses_a_store_that_would_not_read_back_and_writes_no_file(caps
     assert not out_file.exists()
 
 
+def test_encode_refuses_a_vertex_the_stores_rdf_prefix_would_expand_and_writes_no_file(capsys, tmp_path):
+    # <rdf:a> names the IRI rdf:a in a file that declares no prefix, but the
+    # store declares rdf:, so written as <rdf:a> it would read back in the rdf namespace
+    graph = tmp_path / "graph.nt"
+    graph.write_text("<rdf:a> <urn:p> <urn:b> .\n")
+    grammar = tmp_path / "grammar.pg"
+    grammar.write_text(
+        "context a entry for <rdf:a> {\n  pathcount 0\n  traverse out <urn:p> -> b\n}\n"
+        "context b exit for <urn:b> {\n  pathcount 0\n}\n"
+    )
+    out_file = tmp_path / "store.nt"
+    code, out, err = run_cli(capsys, "encode", "--graph", str(graph), "--grammar", str(grammar), "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert "cannot write term '<rdf:a>': a declared prefix reads it back as <http://www.w3.org/1999/02/22-rdf-syntax-ns#a>" in err
+    assert not out_file.exists()
+
+
 def test_encode_all_pairs_store_answers_every_metric_as_the_walker(capsys, tmp_path):
     out_file = tmp_path / "pairs.nt"
     universe = [lanl("johan"), lanl("marko"), lanl("norman")]

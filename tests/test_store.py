@@ -339,6 +339,17 @@ def test_sequence_orders_members_by_index_and_rejects_gaps_and_repeats():
             Graph(broken).sequence(seq)
 
 
+@pytest.mark.parametrize("k", ["\u0661", "\uff11", "1\n"], ids=["arabic-indic-one", "fullwidth-one", "trailing-lf"])
+def test_a_membership_index_is_read_from_ascii_digits_only(k):
+    # rdf:_1 and a predicate whose k is some other spelling of 1: only the first is a member
+    seq = Iri("http://e.org/seq")
+    graph = Graph([
+        Triple(seq, Iri(RDF_NS + "_1"), Iri("http://e.org/one")),
+        Triple(seq, Iri(RDF_NS + "_" + k), Iri("http://e.org/other")),
+    ])
+    assert graph.sequence(seq) == [Iri("http://e.org/one")]
+
+
 def test_rdfs_resource_matches_everything(social_graph):
     assert social_graph.has_type_or_equal(lanl("johan"), RDFS_RESOURCE)
     assert social_graph.has_type_or_equal(Literal("text"), RDFS_RESOURCE)
@@ -455,6 +466,39 @@ def test_to_ntriples_refuses_a_term_that_would_not_read_back(term):
     triple = Triple(Iri(e + "s"), Iri(e + "p"), term) if isinstance(term, Literal) else Triple(term, Iri(e + "p"), term)
     with pytest.raises(ValidationError, match=re.escape(repr(repr(term)))):
         Graph([triple, Triple(Iri(e + "s"), Iri(e + "p"), Iri(e + "o"))]).to_ntriples()
+
+
+@pytest.mark.parametrize(
+    "graph, term",
+    [
+        (load_ntriples("<ex:a> <http://e.org/p> <http://e.org/b> .\n@prefix ex: <http://e.org/> .\n"), Iri("ex:a")),
+        (Graph([Triple(Iri("rdf:a"), Iri("http://e.org/p"), Iri("http://e.org/b"))], {"rdf": RDF_NS}), Iri("rdf:a")),
+        (Graph([Triple(Iri("http://e.org/a"), Iri("http://e.org/p"), Literal("5", "ex:int"))], {"ex": "http://e.org/"}),
+         Literal("5", "ex:int")),
+    ],
+    ids=["read-before-the-prefix", "built-in-code", "datatype"],
+)
+def test_to_ntriples_refuses_an_iri_a_declared_prefix_would_expand(graph, term):
+    # the reader expands a declared prefix even inside brackets
+    with pytest.raises(ValidationError, match=re.escape(f"cannot write term {repr(term)!r}: a declared prefix")):
+        graph.to_ntriples()
+
+
+@pytest.mark.parametrize(
+    "name, namespace",
+    [
+        ("ex", "http://e>"),
+        ("e x", "http://e.org/"),
+        ("ex", "http://e.org/\n"),
+        ("ex", "http://e.org/\r"),
+        ("e\nx", "http://e.org/"),
+    ],
+    ids=["namespace-bracket", "name-space", "namespace-lf", "namespace-cr", "name-lf"],
+)
+def test_to_ntriples_refuses_a_prefix_line_that_would_not_read_back(name, namespace):
+    graph = Graph([Triple(Iri("http://e.org/a"), Iri("http://e.org/p"), Iri("http://e.org/b"))], {name: namespace})
+    with pytest.raises(ValidationError, match=re.escape(f"cannot write prefix {name!r} for {namespace!r}")):
+        graph.to_ntriples()
 
 
 def test_merge_unions_triples(social_graph):
