@@ -367,6 +367,39 @@ def test_loads_reject_invalid_but_warnings_pass():
     assert [v.severity for v in validate_grammar(grammar)] == ["warning"]
 
 
+def test_a_grammar_breaking_every_rule_reports_each_violation_in_order():
+    # built in code, so nothing validates it on construction; b's second
+    # traverse hides that its last rule is no traverse, c's and z's do not
+    def to(*cids):
+        return Traverse(tuple(EdgeSpec(Direction.FORWARD, Iri("urn:p"), cid) for cid in cids))
+
+    contexts = [
+        GrammarContext("a", ContextKind.ENTRY, Iri("urn:a"), (to("b", "ghost", "gone"),), frozenset({NotEver()})),
+        GrammarContext(
+            "b", ContextKind.INTERMEDIATE, Iri("urn:v"),
+            (PathCount(-1), to("c"), to("z"), PathCount(0)), frozenset({Is(0), Not(-1)}),
+        ),
+        GrammarContext("c", ContextKind.INTERMEDIATE, Iri("urn:v"), (to("b"), PathCount(0)), frozenset()),
+        GrammarContext("z", ContextKind.EXIT, Iri("urn:z"), (to("a"), PathCount(1)), frozenset()),
+    ]
+    grammar = Grammar({c.id: c for c in contexts}, "a", "z")
+    assert [(v.severity, v.context_id, v.message) for v in validate_grammar(grammar)] == [
+        ("error", "a", "entry context must not carry attributes"),
+        ("error", "a", "entry context must carry a pathcount rule"),
+        ("error", "a", "traverse edge targets undeclared context 'ghost'"),
+        ("error", "a", "traverse edge targets undeclared context 'gone'"),
+        ("error", "b", "context carries more than one traverse rule"),
+        ("error", "b", "is step must be >= 1, got 0"),
+        ("error", "b", "not step must be >= 1, got -1"),
+        ("error", "b", "pathcount step must be >= 0, got -1"),
+        ("error", "c", "traverse must be the last rule of a context"),
+        ("error", "z", "exit context must not carry a traverse rule"),
+        ("warning", "z", "exit context does not end with pathcount 0, so a record may not end at the sink"),
+        ("error", "z", "traverse must be the last rule of a context"),
+        ("warning", "b", HAZARD),
+    ]
+
+
 # -- rebinding -------------------------------------------------------------------
 
 
@@ -639,6 +672,23 @@ def test_grammar_graph_loads_a_not_attribute():
     loaded = load_grammar_from_triples(load_ntriples(text))
     assert loaded.contexts["Human_3"].attributes == frozenset({Not(2)})
     assert loaded == parse_grammar_dsl(read_fixture("researcher_path.pg").replace("is 2", "not 2"))
+
+
+@pytest.mark.parametrize(
+    "typed",
+    [
+        "psi:pathcount_0 rdf:type rwr:Traverse .",
+        "psi:notever_1 rdf:type rwr:Is .",
+        "psi:is_3 rdf:type rwr:Not .",
+        "psi:edge_0a rdf:type rwr:InEdge .",
+    ],
+    ids=["pathcount-and-traverse", "notever-and-is", "is-and-not", "out-and-in-edge"],
+)
+def test_a_node_typed_twice_loads_as_its_first_type(researcher_grammar, typed):
+    # a rule reads PathCount before Traverse, an attribute NotEver, then Is,
+    # then Not, and an edge OutEdge before InEdge
+    text = read_fixture("researcher_path_grammar.nt") + typed + "\n"
+    assert load_grammar_from_triples(load_ntriples(text)) == researcher_grammar
 
 
 def test_grammar_graph_with_two_rule_sequences_rejected():
