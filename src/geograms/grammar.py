@@ -172,52 +172,34 @@ def validate_grammar(grammar: Grammar) -> list[Violation]:
     """Every rule violation in ``grammar``; warnings do not block execution."""
     violations = []
     for ctx in grammar.contexts.values():
+        is_entry, is_exit = ctx.kind is ContextKind.ENTRY, ctx.kind is ContextKind.EXIT
         traverses = [r for r in ctx.rules if isinstance(r, Traverse)]
-        if ctx.kind is ContextKind.ENTRY:
-            if ctx.attributes:
-                violations.append(
-                    Violation("error", ctx.id, "entry context must not carry attributes")
-                )
-            if not any(isinstance(r, PathCount) for r in ctx.rules):
-                violations.append(
-                    Violation("error", ctx.id, "entry context must carry a pathcount rule")
-                )
-        if ctx.kind is ContextKind.EXIT and traverses:
-            violations.append(
-                Violation("error", ctx.id, "exit context must not carry a traverse rule")
-            )
-        # a record ends at the trail position the exit's last pathcount names,
-        # and a run keeps only the records that end at the sink
-        if ctx.kind is ContextKind.EXIT and [r.step for r in ctx.rules if isinstance(r, PathCount)][-1:] != [0]:
-            message = "exit context does not end with pathcount 0, so a record may not end at the sink"
-            violations.append(Violation("warning", ctx.id, message))
-        if len(traverses) > 1:
-            violations.append(
-                Violation("error", ctx.id, "context carries more than one traverse rule")
-            )
-        elif traverses and not isinstance(ctx.rules[-1], Traverse):
-            violations.append(
-                Violation("error", ctx.id, "traverse must be the last rule of a context")
-            )
-        for rule in traverses:
-            for edge in rule.edges:
-                if edge.far_context not in grammar.contexts:
-                    violations.append(
-                        Violation(
-                            "error",
-                            ctx.id,
-                            f"traverse edge targets undeclared context {edge.far_context!r}",
-                        )
-                    )
+        pathcounts = [r for r in ctx.rules if isinstance(r, PathCount)]
+        # one row (broken, severity, message) per rule, in report order
+        rows = [
+            (is_entry and ctx.attributes, "error", "entry context must not carry attributes"),
+            (is_entry and not pathcounts, "error", "entry context must carry a pathcount rule"),
+            (is_exit and traverses, "error", "exit context must not carry a traverse rule"),
+            # a record ends at the trail position the exit's last pathcount
+            # names, and a run keeps only the records that end at the sink
+            (is_exit and [r.step for r in pathcounts][-1:] != [0], "warning",
+             "exit context does not end with pathcount 0, so a record may not end at the sink"),
+            (len(traverses) > 1, "error", "context carries more than one traverse rule"),
+            (len(traverses) == 1 and not isinstance(ctx.rules[-1], Traverse), "error", "traverse must be the last rule of a context"),
+        ]
+        rows += [
+            (edge.far_context not in grammar.contexts, "error", f"traverse edge targets undeclared context {edge.far_context!r}")
+            for rule in traverses
+            for edge in rule.edges
+        ]
         # the least step that names a trail position: is/not resolve the
         # vertex not yet reached, pathcount the one the walker stands on
-        stepped = [(a, 1) for a in ctx.attributes if isinstance(a, (Is, Not))]
-        stepped += [(r, 0) for r in ctx.rules if isinstance(r, PathCount)]
-        for item, least in stepped:
-            if item.step < least:
-                violations.append(
-                    Violation("error", ctx.id, f"{_WORDS[type(item)]} step must be >= {least}, got {item.step}")
-                )
+        stepped = [(a, 1) for a in ctx.attributes if isinstance(a, (Is, Not))] + [(r, 0) for r in pathcounts]
+        rows += [
+            (item.step < least, "error", f"{_WORDS[type(item)]} step must be >= {least}, got {item.step}")
+            for item, least in stepped
+        ]
+        violations += [Violation(severity, ctx.id, message) for broken, severity, message in rows if broken]
 
     violations.extend(_termination_hazards(grammar))
     return violations
@@ -262,13 +244,11 @@ def _assemble(contexts: list[GrammarContext], validate: bool = True) -> Grammar:
         if ctx.id in by_id:
             raise GrammarLoadError(f"duplicate context id {ctx.id!r}")
         by_id[ctx.id] = ctx
-    entries = [c.id for c in contexts if c.kind is ContextKind.ENTRY]
-    exits = [c.id for c in contexts if c.kind is ContextKind.EXIT]
-    if len(entries) != 1:
-        raise GrammarLoadError(f"grammar must declare exactly one entry context, found {len(entries)}")
-    if len(exits) != 1:
-        raise GrammarLoadError(f"grammar must declare exactly one exit context, found {len(exits)}")
-    grammar = Grammar(by_id, entries[0], exits[0])
+    ends = {kind: [c.id for c in contexts if c.kind is kind] for kind in (ContextKind.ENTRY, ContextKind.EXIT)}
+    for kind, ids in ends.items():
+        if len(ids) != 1:
+            raise GrammarLoadError(f"grammar must declare exactly one {kind.value} context, found {len(ids)}")
+    grammar = Grammar(by_id, ends[ContextKind.ENTRY][0], ends[ContextKind.EXIT][0])
     if validate:
         errors = [v for v in validate_grammar(grammar) if v.severity == "error"]
         if errors:
@@ -464,6 +444,24 @@ def _step_of(graph: Graph, node: Resource, what: str) -> int:
     return int(value.lexical)
 
 
+# what each rwr: type names: a context's kind, a rule's or an attribute's
+# class, an edge's (direction, far-context property); a node carrying two
+# of a table's types reads as the first
+_CONTEXT_TYPES = {RWR_ENTRY_CONTEXT: ContextKind.ENTRY, RWR_EXIT_CONTEXT: ContextKind.EXIT, RWR_CONTEXT: ContextKind.INTERMEDIATE}
+_RULE_TYPES = {RWR_PATH_COUNT: PathCount, RWR_TRAVERSE: Traverse}
+_ATTRIBUTE_TYPES = {RWR_NOT_EVER: NotEver, RWR_IS: Is, RWR_NOT: Not}
+_EDGE_TYPES = {RWR_OUT_EDGE: (Direction.FORWARD, RWR_HAS_OBJECT), RWR_IN_EDGE: (Direction.BACKWARD, RWR_HAS_SUBJECT)}
+
+
+def _typed(graph: Graph, node: Resource, table: dict, untyped: str):
+    """The value of the first ``table`` key among ``node``'s ``rdf:type``s; ``GrammarLoadError(untyped)`` if none."""
+    types = {t.object for t in graph.match((node, RDF_TYPE, None))}
+    for type_iri, value in table.items():
+        if type_iri in types:
+            return value
+    raise GrammarLoadError(untyped)
+
+
 def load_grammar_from_triples(graph: Graph, validate: bool = True) -> Grammar:
     """Assemble a grammar from its triple encoding.
 
@@ -473,11 +471,7 @@ def load_grammar_from_triples(graph: Graph, validate: bool = True) -> Grammar:
     the specificity ties of ``legal_edges``.
     """
     nodes: dict = {}
-    for kind, type_iri in (
-        (ContextKind.ENTRY, RWR_ENTRY_CONTEXT),
-        (ContextKind.EXIT, RWR_EXIT_CONTEXT),
-        (ContextKind.INTERMEDIATE, RWR_CONTEXT),
-    ):
+    for type_iri, kind in _CONTEXT_TYPES.items():
         for t in graph.match((None, RDF_TYPE, type_iri)):
             nodes.setdefault(t.subject, kind)
     if not nodes:
@@ -513,44 +507,30 @@ def load_grammar_from_triples(graph: Graph, validate: bool = True) -> Grammar:
 
 
 def _load_rule(graph: Graph, node: Resource, node_ids: dict, ctx_id: str) -> Rule:
-    types = {t.object for t in graph.match((node, RDF_TYPE, None))}
-    if RWR_PATH_COUNT in types:
+    if _typed(graph, node, _RULE_TYPES, f"rule {node!r} of {ctx_id} has no recognized type") is PathCount:
         return PathCount(_step_of(graph, node, f"{_WORDS[PathCount]} rule of {ctx_id}"))
-    if RWR_TRAVERSE in types:
-        edges = []
-        for t in sorted(graph.match((node, RWR_HAS_EDGE, None)), key=lambda t: resource_key(t.object)):
-            edge_node = t.object
-            edge_types = {x.object for x in graph.match((edge_node, RDF_TYPE, None))}
-            if RWR_OUT_EDGE in edge_types:
-                direction, far_prop = Direction.FORWARD, RWR_HAS_OBJECT
-            elif RWR_IN_EDGE in edge_types:
-                direction, far_prop = Direction.BACKWARD, RWR_HAS_SUBJECT
-            else:
-                raise GrammarLoadError(f"edge {edge_node!r} of {ctx_id} has no in/out typing")
-            predicate = _single_object(graph, edge_node, RWR_HAS_PREDICATE, f"edge of {ctx_id}")
-            if not isinstance(predicate, Iri):
-                raise GrammarLoadError(f"edge predicate of {ctx_id} must be an IRI")
-            far_node = _single_object(graph, edge_node, far_prop, f"edge of {ctx_id}")
-            if far_node not in node_ids:
-                raise GrammarLoadError(
-                    f"edge of {ctx_id} targets {far_node!r}, which is not a declared context"
-                )
-            edges.append(EdgeSpec(direction, predicate, node_ids[far_node]))
-        if not edges:
-            raise GrammarLoadError(f"traverse rule of {ctx_id} carries no edges")
-        return Traverse(tuple(edges))
-    raise GrammarLoadError(f"rule {node!r} of {ctx_id} has no recognized type")
+    edges = []
+    for edge_node in sorted((t.object for t in graph.match((node, RWR_HAS_EDGE, None))), key=resource_key):
+        direction, far_prop = _typed(graph, edge_node, _EDGE_TYPES, f"edge {edge_node!r} of {ctx_id} has no in/out typing")
+        predicate = _single_object(graph, edge_node, RWR_HAS_PREDICATE, f"edge of {ctx_id}")
+        if not isinstance(predicate, Iri):
+            raise GrammarLoadError(f"edge predicate of {ctx_id} must be an IRI")
+        far_node = _single_object(graph, edge_node, far_prop, f"edge of {ctx_id}")
+        if far_node not in node_ids:
+            raise GrammarLoadError(
+                f"edge of {ctx_id} targets {far_node!r}, which is not a declared context"
+            )
+        edges.append(EdgeSpec(direction, predicate, node_ids[far_node]))
+    if not edges:
+        raise GrammarLoadError(f"traverse rule of {ctx_id} carries no edges")
+    return Traverse(tuple(edges))
 
 
 def _load_attribute(graph: Graph, node: Resource, ctx_id: str) -> Attribute:
-    types = {t.object for t in graph.match((node, RDF_TYPE, None))}
-    if RWR_NOT_EVER in types:
+    cls = _typed(graph, node, _ATTRIBUTE_TYPES, f"attribute {node!r} of {ctx_id} has no recognized type")
+    if cls is NotEver:
         return NotEver()
-    if RWR_IS in types:
-        return Is(_step_of(graph, node, f"{_WORDS[Is]} attribute of {ctx_id}"))
-    if RWR_NOT in types:
-        return Not(_step_of(graph, node, f"{_WORDS[Not]} attribute of {ctx_id}"))
-    raise GrammarLoadError(f"attribute {node!r} of {ctx_id} has no recognized type")
+    return cls(_step_of(graph, node, f"{_WORDS[cls]} attribute of {ctx_id}"))
 
 
 # -- ready-made shapes ---------------------------------------------------------

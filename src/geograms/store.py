@@ -127,9 +127,9 @@ class Triple:
 
     def __init__(self, subject: Resource, predicate: Resource, object: Resource):
         if isinstance(subject, Literal):
-            raise ValidationError("a literal cannot be the subject of a triple")
+            raise ValidationError("literal in subject position")
         if not isinstance(predicate, Iri):
-            raise ValidationError("a triple predicate must be an IRI")
+            raise ValidationError("predicate must be an IRI")
         _set_subject(self, subject)
         _set_predicate(self, predicate)
         _set_object(self, object)
@@ -693,10 +693,9 @@ def load_ntriples(
             predicate = terms.get(p) or _matched_term(statement, 2, prefix_map, terms, line_no)
             obj = terms.get(o) or _matched_term(statement, 3, prefix_map, terms, line_no)
 
-        if isinstance(subject, Literal):
-            raise ValidationError("literal in subject position", line=line_no)
-        if not isinstance(predicate, Iri):
-            raise ValidationError("predicate must be an IRI", line=line_no)
-        triples.append(Triple(subject, predicate, obj))
+        try:
+            triples.append(Triple(subject, predicate, obj))
+        except ValidationError as exc:
+            raise ValidationError(str(exc), line=line_no) from None
 
     return Graph(triples, prefix_map, subsumption)
