@@ -34,6 +34,7 @@ from .grammar import (
 )
 from .store import (
     BLANK_NODE,
+    MAX_DIGITS,
     RDF_NS,
     RDFS_NS,
     RDFS_RESOURCE,
@@ -72,6 +73,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_int(raw: str) -> int:
     digits = raw.strip()
+    if len(digits) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be an integer of at most {MAX_DIGITS} digits, got {len(digits)} characters")
     if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
     return int(digits)

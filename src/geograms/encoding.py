@@ -62,6 +62,7 @@ RWR_HAS_VERTEX = Iri(RWR_NS + "hasVertex")
 RWR_HAS_DIRECTION = Iri(RWR_NS + "hasDirection")
 
 # a direction is stored as a literal whose lexical form is the direction's value
+_DIRECTION_LITERALS = {direction: Literal(direction.value) for direction in Direction}
 _LITERAL_DIRECTIONS = {direction.value: direction for direction in Direction}
 _NO_PATHS: dict = {}
 
@@ -97,7 +98,7 @@ def encode_paths(records: Iterable, grammar_id: Resource, walker_ids: Sequence[i
             if step.predicate is not None:
                 triples.append(Triple(segment, RWR_HAS_PREDICATE, step.predicate))
                 triples.append(
-                    Triple(segment, RWR_HAS_DIRECTION, Literal(step.direction.value))
+                    Triple(segment, RWR_HAS_DIRECTION, _DIRECTION_LITERALS[step.direction])
                 )
     prefixes = {"rwr": RWR_NS, "rwrx": RESULT_NS, "rdf": RDF_NS}
     return Graph(triples, prefixes)

@@ -18,6 +18,7 @@ from enum import Enum
 
 from .errors import GrammarLoadError, ParseError, ValidationError
 from .store import (
+    MAX_DIGITS,
     RDFS_RESOURCE,
     RDF_TYPE,
     Graph,
@@ -352,6 +353,8 @@ def parse_grammar_dsl(text: str, validate: bool = True) -> Grammar:
             attributes.add(NotEver())
         elif not _NATURAL.match(rest):
             raise ParseError(f"expected a natural number, got {rest!r}", line=line_no)
+        elif len(rest) > MAX_DIGITS:
+            raise ParseError(f"{word} step has more than {MAX_DIGITS} digits", line=line_no)
         elif cls is PathCount:
             rules.append(PathCount(int(rest)))
         else:
@@ -441,6 +444,8 @@ def _step_of(graph: Graph, node: Resource, what: str) -> int:
         raise GrammarLoadError(f"{what}: step of {node!r} must be a literal")
     if not _INTEGER.fullmatch(value.lexical):
         raise GrammarLoadError(f"{what}: step {value.lexical!r} is not an integer")
+    if len(value.lexical.lstrip("+-")) > MAX_DIGITS:
+        raise GrammarLoadError(f"{what}: step of {node!r} has more than {MAX_DIGITS} digits")
     return int(value.lexical)
 
 

@@ -42,6 +42,9 @@ XSD_STRING = XSD_NS + "string"
 
 # k in ASCII digits only, as counts and steps are read
 _MEMBERSHIP = re.compile(re.escape(RDF_NS) + r"_([0-9]+)")
+# the most digits a count, a step or an rdf:_k index may have: int() refuses
+# more by default from Python 3.11 on, so the readers refuse them on every version
+MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,8 +153,10 @@ def membership(index: int) -> Iri:
 
 
 def membership_index(predicate: Iri) -> int | None:
-    """The k of an ``rdf:_k`` container membership property, else None."""
+    """The k of an ``rdf:_k`` container membership property, else None; ``ValidationError`` past ``MAX_DIGITS``."""
     m = _MEMBERSHIP.fullmatch(predicate.value)
+    if m and len(m.group(1)) > MAX_DIGITS:
+        raise ValidationError(f"rdf:_k index has more than {MAX_DIGITS} digits")
     return int(m.group(1)) if m else None
 
 
@@ -375,12 +380,20 @@ class Graph:
         # terms' keys laid end to end, which is the order of triple_key
         pieces: dict = {}
         rows = []
-        for t in self._triples:
-            s, p, o = t.subject, t.predicate, t.object
-            ks, ts = pieces.get(s) or pieces.setdefault(s, (resource_key(s), _term_text(s, prefix_map)))
-            kp, tp = pieces.get(p) or pieces.setdefault(p, (resource_key(p), _term_text(p, prefix_map)))
-            ko, to = pieces.get(o) or pieces.setdefault(o, (resource_key(o), _term_text(o, prefix_map)))
-            rows.append((ks + kp + ko, f"{ts} {tp} {to} ."))
+        try:
+            for t in self._triples:
+                s, p, o = t.subject, t.predicate, t.object
+                ks, ts = pieces.get(s) or pieces.setdefault(s, (resource_key(s), _term_text(s, prefix_map)))
+                kp, tp = pieces.get(p) or pieces.setdefault(p, (resource_key(p), _term_text(p, prefix_map)))
+                ko, to = pieces.get(o) or pieces.setdefault(o, (resource_key(o), _term_text(o, prefix_map)))
+                rows.append((ks + kp + ko, f"{ts} {tp} {to} ."))
+        except ValidationError:
+            # the set order varies with the hash seed: name the least refused
+            # term in triple_key order, so one graph gives one message
+            for t in sorted(self._triples, key=triple_key):
+                for term in (t.subject, t.predicate, t.object):
+                    _term_text(term, prefix_map)
+            raise
         rows.sort(key=_first)
         lines.extend(line for _, line in rows)
         return "\n".join(lines) + ("\n" if lines else "")

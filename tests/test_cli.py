@@ -691,3 +691,40 @@ def test_mode_and_subsumption_choices_and_defaults():
         "oracle-check": {},
         "validate-grammar": {},
     }
+
+
+@pytest.mark.parametrize(
+    "fixture, old, new",
+    [
+        ("researcher_path.pg", "is 2", "is " + "2" * 5000),
+        ("researcher_path_grammar.nt", 'psi:is_3 rwr:step "2"', 'psi:is_3 rwr:step "' + "2" * 5000 + '"'),
+        ("researcher_path_grammar.nt", "psi:rules_0 rdf:_2", "psi:rules_0 rdf:_" + "2" * 5000),
+    ],
+    ids=["dsl-step", "triple-step", "rule-index"],
+)
+def test_an_over_long_digit_string_in_a_grammar_is_bad_data(capsys, tmp_path, fixture, old, new):
+    # int() refuses more than 4300 digits from Python 3.11 on; the readers refuse them first
+    text = read_fixture(fixture)
+    assert old in text
+    path = tmp_path / fixture
+    path.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, "validate-grammar", "--grammar", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "has more than 4300 digits" in err
+
+
+@pytest.mark.parametrize("where", ["flag", "env"])
+def test_an_over_long_count_is_a_usage_error_naming_its_source(capsys, monkeypatch, where):
+    digits = "1" * 5000
+    flags = ("--max-steps", digits) if where == "flag" else ()
+    if where == "env":
+        monkeypatch.setenv(cli.ENV_MAX_STEPS, digits)
+    code, out, err = run_cli(
+        capsys,
+        "paths", *graph_args(),
+        "--grammar", str(FIXTURES / "researcher_path.pg"),
+        "--mode", "shortest", *flags,
+    )
+    assert (code, out) == (1, "")
+    assert "must be an integer of at most 4300 digits, got 5000 characters" in err
+    assert ("--max-steps" if where == "flag" else cli.ENV_MAX_STEPS) in err

@@ -691,6 +691,23 @@ def test_a_node_typed_twice_loads_as_its_first_type(researcher_grammar, typed):
     assert load_grammar_from_triples(load_ntriples(text)) == researcher_grammar
 
 
+def test_a_step_or_rule_index_has_at_most_4300_digits_in_either_format():
+    dsl = read_fixture("researcher_path.pg")
+    with pytest.raises(ParseError, match=re.escape("is step has more than 4300 digits (line 16)")):
+        parse_grammar_dsl(dsl.replace("is 2", "is " + "2" * 4301))
+    longest = parse_grammar_dsl(dsl.replace("is 2", "is " + "2" * 4300))
+    assert longest.contexts["Human_3"].attributes == frozenset({Is(int("2" * 4300))})
+
+    triples = read_fixture("researcher_path_grammar.nt")
+    with pytest.raises(GrammarLoadError, match=re.escape("is attribute of Human_3: step of <http://www.lanl.gov/psi#is_3> "
+                                                         "has more than 4300 digits")):
+        load_grammar_from_triples(load_ntriples(triples.replace('is_3 rwr:step "2"', f'is_3 rwr:step "+{"2" * 4301}"')))
+    signed = load_grammar_from_triples(load_ntriples(triples.replace('is_3 rwr:step "2"', f'is_3 rwr:step "+{"2" * 4300}"')))
+    assert signed == longest
+    with pytest.raises(GrammarLoadError, match=re.escape("rules of context johan_0: rdf:_k index has more than 4300 digits")):
+        load_grammar_from_triples(load_ntriples(triples.replace("psi:rules_0 rdf:_2", f"psi:rules_0 rdf:_{'2' * 4301}")))
+
+
 def test_grammar_graph_with_two_rule_sequences_rejected():
     # the entry's traverse rule moved into a second sequence; joined in
     # set order, the two would load under some hash seeds and not others

@@ -1,5 +1,9 @@
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +21,7 @@ from geograms.store import (
     SubsumptionMode,
     Triple,
     _term_text,
+    membership_index,
     triple_key,
 )
 
@@ -513,3 +518,42 @@ def test_compact_uses_longest_prefix(social_graph):
     assert social_graph.compact(Iri("http://elsewhere#z")) == "http://elsewhere#z"
     assert social_graph.compact(Blank("b")) == "_:b"
     assert social_graph.compact(Literal("x", "http://a#dt")) == '"x"'
+
+
+def test_a_triple_built_in_code_refuses_a_literal_subject_and_a_non_iri_predicate_as_the_reader_does():
+    with pytest.raises(ValidationError, match="^literal in subject position$"):
+        Triple(Literal("x"), Iri("http://a#p"), Iri("http://a#y"))
+    with pytest.raises(ValidationError, match="^predicate must be an IRI$"):
+        Triple(Iri("http://a#x"), Blank("b"), Iri("http://a#y"))
+
+
+def test_a_membership_index_has_at_most_4300_digits():
+    seq = Iri("http://e.org/seq")
+    assert membership_index(Iri(RDF_NS + "_" + "9" * 4300)) == int("9" * 4300)
+    graph = Graph([Triple(seq, Iri(RDF_NS + "_" + "1" * 4301), Iri("http://e.org/one"))])
+    with pytest.raises(ValidationError, match=re.escape("rdf:_k index has more than 4300 digits")):
+        graph.sequence(seq)
+
+
+def test_to_ntriples_names_the_least_refused_term_whatever_the_hash_seed():
+    # two refused objects; the set of triples is walked in an order that varies with the seed
+    script = (
+        "from geograms.store import Graph, Iri, Triple\n"
+        "e = 'http://e.org/'\n"
+        "graph = Graph([Triple(Iri(e + 's'), Iri(e + 'p'), Iri(e + name)) for name in ('y>', 'x>')])\n"
+        "try:\n"
+        "    graph.to_ntriples()\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(4)
+    }
+    message = "cannot write term '<http://e.org/x>>': an IRI that is empty or holds '>' or a line end does not read back\n"
+    assert messages == {message}
