@@ -186,10 +186,12 @@ def validate_grammar(grammar: Grammar) -> list[Violation]:
             (is_exit and [r.step for r in pathcounts][-1:] != [0], "warning",
              "exit context does not end with pathcount 0, so a record may not end at the sink"),
             (len(traverses) > 1, "error", "context carries more than one traverse rule"),
-            (len(traverses) == 1 and not isinstance(ctx.rules[-1], Traverse), "error", "traverse must be the last rule of a context"),
+            (len(traverses) == 1 and not isinstance(ctx.rules[-1], Traverse), "error",
+             "traverse must be the last rule of a context"),
         ]
         rows += [
-            (edge.far_context not in grammar.contexts, "error", f"traverse edge targets undeclared context {edge.far_context!r}")
+            (edge.far_context not in grammar.contexts, "error",
+             f"traverse edge targets undeclared context {edge.far_context!r}")
             for rule in traverses
             for edge in rule.edges
         ]
