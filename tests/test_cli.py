@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -728,3 +729,44 @@ def test_an_over_long_count_is_a_usage_error_naming_its_source(capsys, monkeypat
     assert (code, out) == (1, "")
     assert "must be an integer of at most 4300 digits, got 5000 characters" in err
     assert ("--max-steps" if where == "flag" else cli.ENV_MAX_STEPS) in err
+
+
+def test_encode_all_pairs_payload_and_store_bytes(capsys, tmp_path):
+    out_file = tmp_path / "pairs.nt"
+    code, out, _ = run_cli(
+        capsys,
+        "encode", *graph_args(),
+        "--grammar", str(FIXTURES / "any_path.pg"),
+        "--all-pairs", "--vertices", "lanl:johan", "--vertices", "lanl:marko", "--vertices", "lanl:norman",
+        "--out", str(out_file), "--output", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"records": 108, "triples": 2526, "out": str(out_file)}
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == "201738a0a811c58cf6c29f0743a57a1a6c95a39931d51f1d41f505e047a19531"
+
+
+def test_oracle_check_reports_every_skewed_pair_in_order(capsys, monkeypatch):
+    real = metrics.unlabeled_oracle_geodesics
+
+    def skewed(graph, source, target):
+        value = real(graph, source, target)
+        return None if value is None else value + 1
+
+    monkeypatch.setattr(metrics, "unlabeled_oracle_geodesics", skewed)
+    code, out, _ = run_cli(capsys, "oracle-check", *graph_args(), "--output", "json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["pairs"] == 20
+    # (source, target, grammar) in universe order, each source before its targets
+    expected = [
+        ("Researcher", "jhw", 1), ("Researcher", "johan", 2), ("Researcher", "marko", 1), ("Researcher", "norman", 2),
+        ("jhw", "Researcher", 1), ("jhw", "johan", 2), ("jhw", "marko", 1), ("jhw", "norman", 1),
+        ("johan", "Researcher", 2), ("johan", "jhw", 2), ("johan", "marko", 1), ("johan", "norman", 1),
+        ("marko", "Researcher", 1), ("marko", "jhw", 1), ("marko", "johan", 1), ("marko", "norman", 1),
+        ("norman", "Researcher", 2), ("norman", "jhw", 1), ("norman", "johan", 1), ("norman", "marko", 1),
+    ]
+    assert payload["mismatches"] == [
+        {"source": f"lanl:{source}", "target": f"lanl:{target}", "grammar": grammar, "oracle": grammar + 1}
+        for source, target, grammar in expected
+    ]
