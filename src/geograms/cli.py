@@ -271,18 +271,16 @@ def _cmd_encode(args) -> tuple:
     grammar = _load_grammar(args)
     grammar_id = _grammar_id(args, graph)
 
-    records = []
     if args.all_pairs:
         universe = _universe(args, graph, lambda: metrics.default_universe(graph, grammar))
-        for source in universe:
-            for target in universe:
-                if source != target:
-                    bound = rebind_endpoints(grammar, source, target)
-                    records.extend(run(graph, bound, RunMode.ALL_PATHS, args.max_steps))
+        records = set()
+        for source, target in metrics.ordered_pairs(universe):
+            bound = rebind_endpoints(grammar, source, target)
+            records.update(run(graph, bound, RunMode.ALL_PATHS, args.max_steps))
     else:
-        records.extend(run(graph, grammar, RunMode.ALL_PATHS, args.max_steps))
+        records = run(graph, grammar, RunMode.ALL_PATHS, args.max_steps)
 
-    unique = sorted(set(records), key=PathRecord.key)
+    unique = sorted(records, key=PathRecord.key)
     store = _write_store(args.out, unique, grammar_id)
     payload = {"records": len(unique), "triples": len(store), "out": args.out}
     return 0, payload, [f"encoded {len(unique)} paths as {len(store)} triples -> {args.out}"]
@@ -295,27 +293,23 @@ def _cmd_oracle_check(args) -> tuple:
 
     # one grammar, rebound to each pair as every metric does
     paths = metrics.WalkerPaths(projection, unconstrained_grammar(RDFS_RESOURCE, RDFS_RESOURCE), args.max_steps)
+    pairs = metrics.ordered_pairs(universe)
     mismatches = []
-    checked = 0
-    for source in universe:
-        for target in universe:
-            if source == target:
-                continue
-            checked += 1
-            expected = metrics.unlabeled_oracle_geodesics(graph, source, target)
-            # a vertex only schema triples mention is in the graph but not the projection
-            actual = paths.distance(source, target) if source in projection.vertices() else None
-            if actual != expected:
-                mismatches.append(
-                    {
-                        "source": graph.compact(source),
-                        "target": graph.compact(target),
-                        "grammar": actual,
-                        "oracle": expected,
-                    }
-                )
-    payload = {"pairs": checked, "mismatches": mismatches}
-    lines = [f"pairs checked: {checked}", f"mismatches: {len(mismatches)}"]
+    for source, target in pairs:
+        expected = metrics.unlabeled_oracle_geodesics(graph, source, target)
+        # a vertex only schema triples mention is in the graph but not the projection
+        actual = paths.distance(source, target) if source in projection.vertices() else None
+        if actual != expected:
+            mismatches.append(
+                {
+                    "source": graph.compact(source),
+                    "target": graph.compact(target),
+                    "grammar": actual,
+                    "oracle": expected,
+                }
+            )
+    payload = {"pairs": len(pairs), "mismatches": mismatches}
+    lines = [f"pairs checked: {len(pairs)}", f"mismatches: {len(mismatches)}"]
     lines += [
         f"  {m['source']} -> {m['target']}: grammar={m['grammar']} oracle={m['oracle']}"
         for m in mismatches

@@ -193,6 +193,12 @@ def ms_shortest_paths(pairs: Iterable) -> frozenset:
     return frozenset(path for path, position in pairs if position == best)
 
 
+def _shortest_records(store: Graph, source: Resource, sink: Resource, grammar_id: Resource) -> dict:
+    """{path node: decoded record} of the tied-shortest stored source-to-sink paths, selected by ``query_X``."""
+    records = _endpoint_index(store, grammar_id).get((source, sink), _NO_PATHS)
+    return {path: records[path] for path in ms_shortest_paths(query_X(store, source, sink, grammar_id))}
+
+
 def query_Y(
     store: Graph,
     source: Resource,
@@ -201,9 +207,8 @@ def query_Y(
     grammar_id: Resource,
 ) -> frozenset:
     """Shortest stored source-to-sink paths holding ``through`` strictly inside, as ``through_share`` counts."""
-    records = _endpoint_index(store, grammar_id).get((source, sink), _NO_PATHS)
-    shortest = ms_shortest_paths(query_X(store, source, sink, grammar_id))
-    return frozenset(path for path in shortest if through in records[path].vertices()[1:-1])
+    shortest = _shortest_records(store, source, sink, grammar_id)
+    return frozenset(path for path, record in shortest.items() if through in record.vertices()[1:-1])
 
 
 # -- metrics from the store ------------------------------------------------------
@@ -220,9 +225,7 @@ class StorePaths:
         """Decoded tied-shortest records from source to target in key order."""
         if source is None or target is None:
             raise ValueError("shortest-path needs source and target")
-        records = _endpoint_index(self.store, self.grammar_id).get((source, target), _NO_PATHS)
-        shortest = ms_shortest_paths(query_X(self.store, source, target, self.grammar_id))
-        return tuple(sorted((records[path] for path in shortest), key=PathRecord.key))
+        return tuple(sorted(_shortest_records(self.store, source, target, self.grammar_id).values(), key=PathRecord.key))
 
     def distance(self, source: Resource, target: Resource) -> Optional[int]:
         found = min_segments(query_X(self.store, source, target, self.grammar_id))

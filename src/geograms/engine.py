@@ -10,21 +10,22 @@ its rules and retire their recorded path, which the run keeps only when
 it runs from the source to the sink.
 
 Walkers step on integer ids, and each rule has one implementation, on
-them: ``legal_edges`` applies is, not and notever, ``expand`` pathcount,
-and ``_reach_back`` turns each one's step into a trail position.  The
-first run over a graph derives its ``GraphIndex`` (``Graph.derived``),
-which numbers its vertices and is shared by every later run.  A vertex's
-moves, read from the graph's own subject and object indexes and put in
-``triple_key`` order, are built when a walker first stands on it, so a run
-pays only for the part of the graph it explores; each move carries its
-triple and the ``PathStep`` it appends, and one table per vertex finds a
-transition's move by its triple.  A walker the engine builds keeps its
-trail's vertex ids, so each check per candidate edge is a dict or set
-lookup on a vertex id or on the edge's predicate IRI text, and
-``_admission`` alone ranks how tightly a context admits a vertex.
-``Triple``s, ``Transition``s and ``PathRecord``s are built only for what a
-step returns, what a run returns, and what a trace records: a ``RunTrace``
-holds one ``GenerationTrace`` per generation and reads its totals from them.
+them: ``legal_edges`` applies is, not and notever, and ``expand``
+pathcount, each turning a step into a trail position by grammar's
+``_reach_back``, the one runtime check of a step.  The first run over a
+graph derives its ``GraphIndex`` (``Graph.derived``), which numbers its
+vertices and is shared by every later run.  A vertex's moves, read from
+the graph's own subject and object indexes and put in ``triple_key``
+order, are built when a walker first stands on it, so a run pays only for
+the part of the graph it explores; each move carries its triple and the
+``PathStep`` it appends, and one table per vertex finds a transition's
+move by its triple.  A walker the engine builds keeps its trail's vertex
+ids, so each check per candidate edge is a dict or set lookup on a vertex
+id or on the edge's predicate IRI text, and ``_admission`` alone ranks
+how tightly a context admits a vertex.  ``Triple``s, ``Transition``s and
+``PathRecord``s are built only for what a step returns, what a run
+returns, and what a trace records: a ``RunTrace`` holds one
+``GenerationTrace`` per generation and reads its totals from them.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .grammar import (
     Not,
     PathCount,
     Traverse,
+    _reach_back,
 )
 from .store import RDFS_RESOURCE, Graph, Iri, Resource, Triple, resource_key, triple_key
 
@@ -221,7 +223,7 @@ class GraphIndex:
         return tuple(get(step.vertex, -1) for step in walker.trail)
 
     def resolve(self, grammar: Grammar, rule: Traverse) -> tuple:
-        """The ``_Spec`` of every edge spec of ``rule``.
+        """The resolved form (``_resolve_spec``) of every edge spec of ``rule``.
 
         Cached for the last grammar seen, so a run resolves each rule once.
         """
@@ -234,9 +236,11 @@ class GraphIndex:
             entry = rules[id(rule)] = (rule, tuple(self._resolve_spec(grammar, spec) for spec in rule.edges))
         return entry[1]
 
-    def _resolve_spec(self, grammar: Grammar, spec) -> "_Spec":
+    def _resolve_spec(self, grammar: Grammar, spec) -> tuple:
+        """``spec``'s checks on this index, in the order ``legal_edges`` unpacks: backward, admissible (by IRI
+        text; None under the wildcard, which admits all), admitted, is steps, not steps, notever, far context."""
         far = grammar.contexts[spec.far_context]
-        return _Spec(
+        return (
             spec.direction is Direction.BACKWARD,
             None if spec.predicate == RDFS_RESOURCE else self._admissible[spec.predicate],
             self._admitted[far.for_resource],
@@ -260,36 +264,12 @@ class _Memo(dict):
         return found
 
 
-class _Spec(NamedTuple):
-    """An edge spec with every check it makes looked up on a ``GraphIndex``."""
-
-    backward: bool
-    admissible: _Memo | None  # by predicate IRI text; None under the wildcard, which admits all
-    admitted: _Memo
-    is_steps: tuple
-    not_steps: tuple
-    notever: bool
-    far_context: str
-
-
 def index_of(graph: Graph) -> GraphIndex:
     """The graph's engine index, one per graph, built on first use."""
     return graph.derived(GraphIndex, GraphIndex)
 
 
 # -- legal edge computation ------------------------------------------------------
-
-
-def _reach_back(length: int, step: int, least: int, kind: str, context_id: str) -> int:
-    """The trail position ``step`` before position ``length``, the one being resolved.
-
-    ``least`` is the smallest step that lands on the trail: 0 for pathcount,
-    and 1 for is/not, whose position ``length`` is the vertex not yet reached.
-    """
-    if not least <= step <= length:
-        where = "before the start of the path" if step > length else "off the trail"
-        raise GrammarRuntimeError(f"{kind} step {step} reaches {where} at position {length}", context_id=context_id)
-    return length - step
 
 
 class Rejection(NamedTuple):
@@ -342,8 +322,8 @@ def legal_edges(
     visited = None  # the vertex ids of the trail, built for the first notever spec
     for spec in index.resolve(grammar, rule):
         backward, admissible, admitted, is_steps, not_steps, notever, far_context = spec
-        required = {vids[_reach_back(len(vids), s, 1, "is", far_context)] for s in is_steps} if is_steps else ()
-        excluded = {vids[_reach_back(len(vids), s, 1, "not", far_context)] for s in not_steps} if not_steps else ()
+        required = {vids[_reach_back(len(vids), s, Is, far_context)] for s in is_steps} if is_steps else ()
+        excluded = {vids[_reach_back(len(vids), s, Not, far_context)] for s in not_steps} if not_steps else ()
         if notever and visited is None:
             visited = set(vids)
         blocked = visited if notever else ()
@@ -435,7 +415,7 @@ def expand(
             if isinstance(rule, PathCount):
                 # only the successors see the recorded path, so the walker
                 # itself stays as it is for the traverse rule
-                position = _reach_back(walker.time_index, rule.step, 0, "pathcount", walker.context)
+                position = _reach_back(walker.time_index, rule.step, PathCount, walker.context)
                 recorded += (walker.trail[position],)
             elif context.kind is ContextKind.EXIT:
                 raise GrammarRuntimeError("exit context must not traverse", context_id=walker.context)

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import GrammarLoadError, ParseError, ValidationError
+from .errors import GrammarLoadError, GrammarRuntimeError, ParseError, ValidationError
 from .store import (
     MAX_DIGITS,
     RDFS_RESOURCE,
@@ -115,6 +115,19 @@ Attribute = NotEver | Is | Not
 # them by it too
 _WORDS = {NotEver: "notever", Is: "is", Not: "not", PathCount: "pathcount"}
 
+# the least step of each stepped rule that names a trail position: is/not
+# resolve the vertex not yet reached, pathcount the one the walker stands
+# on; the validator and ``_reach_back``, the one runtime check, read it
+_LEAST_STEPS = {Is: 1, Not: 1, PathCount: 0}
+
+
+def _reach_back(length: int, step: int, rule: type, context_id: str) -> int:
+    """The trail position ``step`` before position ``length``, the one ``rule`` resolves."""
+    if not _LEAST_STEPS[rule] <= step <= length:
+        where = "before the start of the path" if step > length else "off the trail"
+        raise GrammarRuntimeError(f"{_WORDS[rule]} step {step} reaches {where} at position {length}", context_id)
+    return length - step
+
 
 @dataclass(frozen=True, slots=True)
 class GrammarContext:
@@ -195,9 +208,8 @@ def validate_grammar(grammar: Grammar) -> list[Violation]:
             for rule in traverses
             for edge in rule.edges
         ]
-        # the least step that names a trail position: is/not resolve the
-        # vertex not yet reached, pathcount the one the walker stands on
-        stepped = [(a, 1) for a in ctx.attributes if isinstance(a, (Is, Not))] + [(r, 0) for r in pathcounts]
+        stepped = [(item, _LEAST_STEPS[type(item)])
+                   for item in (*ctx.attributes, *pathcounts) if type(item) in _LEAST_STEPS]
         rows += [
             (item.step < least, "error", f"{_WORDS[type(item)]} step must be >= {least}, got {item.step}")
             for item, least in stepped

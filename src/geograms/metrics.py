@@ -106,6 +106,11 @@ def through_share(witnesses: tuple, vertex: Resource) -> Optional[tuple]:
     return sum(1 for r in witnesses if vertex in r.vertices()[1:-1]), len(witnesses)
 
 
+def ordered_pairs(universe: list) -> list:
+    """Every (source, target) pair of distinct universe vertices, sources in universe order."""
+    return [(source, target) for source in universe for target in universe if source != target]
+
+
 def _distances(paths, source: Resource, universe: list) -> tuple[list, int]:
     """Distances from ``source`` to every reachable other vertex, and how many were not."""
     distances = [paths.distance(source, t) for t in universe if t != source]
@@ -135,12 +140,11 @@ def fold(
     universe = sorted(set(vertices), key=resource_key)
     if kind is MetricKind.BETWEENNESS:
         total = 0.0
-        for j in universe:
-            for k in universe:
-                if j != k and source not in (j, k):
-                    share = paths.through(j, k, source)
-                    if share is not None:
-                        total += share[0] / share[1]
+        for j, k in ordered_pairs(universe):
+            if source not in (j, k):
+                share = paths.through(j, k, source)
+                if share is not None:
+                    total += share[0] / share[1]
         return MetricResult(kind, total, True)
     if kind in (MetricKind.RADIUS, MetricKind.DIAMETER):
         if len(universe) < 2:
