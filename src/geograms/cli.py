@@ -199,7 +199,7 @@ def _timed(call):
     return result, int(round((time.perf_counter() - started) * 1000))
 
 
-def _write_store(path: str, records: list, grammar_id: Resource) -> Graph:
+def _write_store(path: str, records, grammar_id: Resource) -> Graph:
     """Encode ``records`` under walker ids 0, 1, ... and write the store to ``path``."""
     store = encoding.encode_paths(records, grammar_id, list(range(len(records))))
     text = store.to_ntriples()  # before the file opens, so a refused store leaves no file
@@ -280,10 +280,9 @@ def _cmd_encode(args) -> tuple:
     else:
         records = run(graph, grammar, RunMode.ALL_PATHS, args.max_steps)
 
-    unique = sorted(records, key=PathRecord.key)
-    store = _write_store(args.out, unique, grammar_id)
-    payload = {"records": len(unique), "triples": len(store), "out": args.out}
-    return 0, payload, [f"encoded {len(unique)} paths as {len(store)} triples -> {args.out}"]
+    store = _write_store(args.out, records, grammar_id)
+    payload = {"records": len(records), "triples": len(store), "out": args.out}
+    return 0, payload, [f"encoded {len(records)} paths as {len(store)} triples -> {args.out}"]
 
 
 def _cmd_oracle_check(args) -> tuple:

@@ -132,8 +132,7 @@ def _paths_for_grammar(store: Graph, grammar_id: Optional[Resource]):
         walker = t.subject
         if grammar_id is not None and not store.match((walker, RWR_USES_GRAMMAR, grammar_id)):
             continue
-        for qp in store.match((walker, RWR_HAS_QPATH, None)):
-            yield qp.object
+        yield from sorted((qp.object for qp in store.match((walker, RWR_HAS_QPATH, None))), key=resource_key)
 
 
 def decode_paths(store: Graph, grammar_id: Optional[Resource] = None) -> frozenset:

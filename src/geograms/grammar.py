@@ -515,9 +515,10 @@ def load_grammar_from_triples(graph: Graph, validate: bool = True) -> Grammar:
             rules.extend(_load_rule(graph, rule_node, node_ids, ctx_id) for rule_node in rule_nodes)
 
         attributes = set()
-        for bag_triple in graph.match((node, RWR_HAS_ATTRIBUTES, None)):
-            for t in graph.match((bag_triple.object, RWR_HAS_ATTRIBUTE, None)):
-                attributes.add(_load_attribute(graph, t.object, ctx_id))
+        # bags and their attributes in resource order, so the first fault named does not follow the hash seed
+        for bag in sorted((t.object for t in graph.match((node, RWR_HAS_ATTRIBUTES, None))), key=resource_key):
+            for attribute in sorted((t.object for t in graph.match((bag, RWR_HAS_ATTRIBUTE, None))), key=resource_key):
+                attributes.add(_load_attribute(graph, attribute, ctx_id))
 
         contexts.append(
             GrammarContext(ctx_id, kind, for_resource, tuple(rules), frozenset(attributes))

@@ -770,3 +770,38 @@ def test_oracle_check_reports_every_skewed_pair_in_order(capsys, monkeypatch):
         {"source": f"lanl:{source}", "target": f"lanl:{target}", "grammar": grammar, "oracle": grammar + 1}
         for source, target, grammar in expected
     ]
+
+
+_IS_3_STEP = 'psi:is_3 rwr:step "2"^^xsd:int .\n'
+_IS_3_MESSAGE = (
+    "is attribute of Human_3: expected exactly one 'http://www.lanl.gov/rwr#step' on <http://www.lanl.gov/psi#is_3>, found 0"
+)
+
+
+@pytest.mark.parametrize(
+    "new, expected",
+    [
+        # is_3 loses its step and the bag gains an attribute of no type: the first in resource order is named
+        ("psi:attrs_3 rwr:hasAttribute psi:odd_3 .\n", (2, "", f"error: {_IS_3_MESSAGE}\n")),
+        # is 0 and not 0 hash alike, so they are reported in the order they are read
+        (
+            'psi:is_3 rwr:step "0"^^xsd:int .\npsi:attrs_3 rwr:hasAttribute psi:not_3 .\n'
+            'psi:not_3 rdf:type rwr:Not .\npsi:not_3 rwr:step "0"^^xsd:int .\n',
+            (2, "error Human_3: is step must be >= 1, got 0\nerror Human_3: not step must be >= 1, got 0\n", ""),
+        ),
+    ],
+    ids=["missing-step-and-untyped-attribute", "is-0-and-not-0"],
+)
+def test_validate_grammar_reads_a_contexts_attributes_in_one_order_whatever_the_hash_seed(
+    monkeypatch, tmp_path, new, expected
+):
+    text = read_fixture("researcher_path_grammar.nt")
+    assert _IS_3_STEP in text
+    grammar = tmp_path / "grammar.nt"
+    grammar.write_text(text.replace(_IS_3_STEP, new))
+    outputs = set()
+    for seed in range(4):
+        monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+        done = run_module("validate-grammar", "--grammar", str(grammar))
+        outputs.add((done.returncode, done.stdout, done.stderr))
+    assert outputs == {expected}
