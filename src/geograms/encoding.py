@@ -224,7 +224,8 @@ class StorePaths:
         """Decoded tied-shortest records from source to target in key order."""
         if source is None or target is None:
             raise ValueError("shortest-path needs source and target")
-        return tuple(sorted(_shortest_records(self.store, source, target, self.grammar_id).values(), key=PathRecord.key))
+        shortest = _shortest_records(self.store, source, target, self.grammar_id)
+        return tuple(sorted(shortest.values(), key=PathRecord.key))
 
     def distance(self, source: Resource, target: Resource) -> Optional[int]:
         found = min_segments(query_X(self.store, source, target, self.grammar_id))
